@@ -57,7 +57,7 @@ from repro.service.protocol import (  # noqa: E402
     SessionConfig,
 )
 from repro.recovery import run_fsck  # noqa: E402
-from repro.service.sessions import build_scheduler, replay_journal_dir  # noqa: E402
+from repro.service.image import build_scheduler, replay_journal_dir  # noqa: E402
 
 DEFAULT_OUT = os.path.join(ROOT, "benchmarks", "results", "BENCH_chaos.json")
 MAX_SIZE = 32

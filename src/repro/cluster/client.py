@@ -26,6 +26,7 @@ join into a single trace across shards (docs/OBSERVABILITY.md).
 from __future__ import annotations
 
 import asyncio
+import time
 from typing import Any, Optional, Sequence
 
 from repro.cluster.group import ShardSpec
@@ -500,6 +501,9 @@ class AsyncClusterClient(_ClusterBase):
         step = 0
         hops = 0
         per_call_timeout = timeout if timeout is not None else self.timeout
+        # Whole-call budget, as in the service clients: neither a server
+        # ``retry_after`` hint nor a backoff step sleeps past ``timeout=``.
+        deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             self._count_op()
             try:
@@ -519,6 +523,8 @@ class AsyncClusterClient(_ClusterBase):
                 ):
                     raise
                 wait = _retry_wait(delays[step], e)
+                if deadline is not None and wait >= deadline - time.monotonic():
+                    raise
                 step += 1
                 self.retries += 1
                 await asyncio.sleep(wait)
@@ -533,7 +539,14 @@ class AsyncClusterClient(_ClusterBase):
                         hops += 1
                         shard = target
                         continue
-                if self.retry is None or step >= len(delays):
+                if (
+                    self.retry is None
+                    or step >= len(delays)
+                    or (
+                        deadline is not None
+                        and delays[step] >= deadline - time.monotonic()
+                    )
+                ):
                     raise ServiceError(
                         ErrorCode.INTERNAL,
                         f"shard {shard}: connection failed: {e}",

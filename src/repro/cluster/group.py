@@ -27,6 +27,7 @@ import repro
 from repro import faults
 from repro.obs.logsetup import get_logger
 from repro.obs.metrics import MetricsRegistry
+from repro.service.journal import write_json_durable
 
 log = get_logger("cluster")
 
@@ -264,13 +265,7 @@ class ShardGroup:
             "version": 1,
             "shards": [s.to_doc() for s in self.all_specs()],
         }
-        tmp = self.manifest_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.manifest_path)
+        write_json_durable(self.manifest_path, doc)
 
     # -- supervision -----------------------------------------------------
 
@@ -447,13 +442,10 @@ class ShardGroup:
         """Durably fence a dead primary's data dir (same marker
         discipline as the server's own ``fence.json`` handling)."""
         os.makedirs(data_dir, exist_ok=True)
-        path = os.path.join(data_dir, "fence.json")
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump({"epoch": epoch, "promoted": promoted}, fh, sort_keys=True)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        write_json_durable(
+            os.path.join(data_dir, "fence.json"),
+            {"epoch": epoch, "promoted": promoted},
+        )
 
     def reconcile(self, *, apply: bool = True) -> Any:
         """One anti-entropy sweep over this cluster's root.

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from typing import Any, Iterable, Mapping, Optional, Sequence
+
+from repro.service.journal import write_json_durable
 
 PLACEMENT_FILE = "placement.json"
 
@@ -134,13 +135,7 @@ class PlacementMap:
         return cls(shards, overrides=overrides, epoch=epoch, members=members)
 
     def save(self, path: str) -> None:
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(self.to_doc(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        write_json_durable(path, self.to_doc())
 
     @classmethod
     def load(cls, path: str) -> "PlacementMap":

@@ -21,7 +21,7 @@ This module builds a small statement-granularity CFG per function:
 Nested function/lambda/class bodies are opaque: their statements get
 their own CFGs (via :func:`function_defs`) and their expressions never
 leak into the enclosing function's nodes -- a ``lambda:
-self._op_insert(...)`` enqueued for the worker reads state when the
+self._op_write(...)`` enqueued for the worker reads state when the
 *worker* runs it, not where the closure is written down.
 """
 

@@ -36,12 +36,19 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Generic, Optional, Sequence, TypeVar
 
 from repro.cluster.group import MANIFEST_FILE, load_manifest
 from repro.cluster.placement import PLACEMENT_FILE, PlacementMap
 from repro.cluster.rebalance import REALLOC_FILE
 from repro.obs.logsetup import get_logger
+from repro.service.image import (
+    _CONFIG_FILE,
+    _MOVED_FILE,
+    dedup_sidecar,
+    moved_target,
+    set_dedup_sidecar,
+)
 from repro.service.journal import (
     _SEG_PREFIX,
     _SEG_SUFFIX,
@@ -53,14 +60,10 @@ from repro.service.journal import (
     JournalRecord,
     _decode_record,
     _fsync_dir,
+    _listing,
+    write_json_durable,
 )
-from repro.service.sessions import (
-    _CONFIG_FILE,
-    _FENCE_FILE,
-    _MOVED_FILE,
-    _PROMOTED_FILE,
-    _REPLICA_FILE,
-)
+from repro.service.sessions import _FENCE_FILE, _PROMOTED_FILE, _REPLICA_FILE
 
 log = get_logger("recovery.fsck")
 
@@ -214,12 +217,17 @@ def _ignored(name: str) -> bool:
     return name == FSCK_LOG or name.endswith(QUARANTINE_SUFFIX)
 
 
-def _quarantine_rename(path: str, rlog: _RepairLog, detail: str) -> str:
-    dst = path + QUARANTINE_SUFFIX
-    n = 1
+def _quarantine_dst(path: str) -> str:
+    """First free ``*.corrupt`` sibling name for ``path``."""
+    dst, n = path + QUARANTINE_SUFFIX, 1
     while os.path.exists(dst):
         n += 1
         dst = f"{path}.{n}{QUARANTINE_SUFFIX}"
+    return dst
+
+
+def _quarantine_rename(path: str, rlog: _RepairLog, detail: str) -> str:
+    dst = _quarantine_dst(path)
     os.replace(path, dst)
     _fsync_dir(os.path.dirname(path) or ".")
     rlog.record("quarantine", path, f"-> {os.path.basename(dst)}: {detail}")
@@ -227,11 +235,7 @@ def _quarantine_rename(path: str, rlog: _RepairLog, detail: str) -> str:
 
 
 def _quarantine_copy(path: str, rlog: _RepairLog, detail: str) -> str:
-    dst = path + QUARANTINE_SUFFIX
-    n = 1
-    while os.path.exists(dst):
-        n += 1
-        dst = f"{path}.{n}{QUARANTINE_SUFFIX}"
+    dst = _quarantine_dst(path)
     with open(path, "rb") as src, open(dst, "wb") as out:
         out.write(src.read())
         out.flush()
@@ -259,13 +263,16 @@ def _unlink(path: str, rlog: _RepairLog, detail: str) -> None:
 # Raw scanners (never raise on corruption -- they classify it)
 
 
+_Rec = TypeVar("_Rec")
+
+
 @dataclass
-class _SegScan:
-    """Tolerant single-segment scan: the valid record prefix plus a
+class _SegScan(Generic[_Rec]):
+    """Tolerant single-file scan: the valid record prefix plus a
     classification of whatever cut it short."""
 
     path: str
-    records: list[JournalRecord]
+    records: list[_Rec]
     rec_ends: list[int]  # byte offset just past each valid record
     bad_at: Optional[int]  # byte offset of the first undecodable line
     bad_lineno: int
@@ -282,10 +289,26 @@ class _SegScan:
         return self.rec_ends[index - 1] if index > 0 else 0
 
 
-def _scan_segment(path: str) -> _SegScan:
+def _ledger_record(text: str) -> Optional[dict[str, Any]]:
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError:
+        return None
+    return doc if isinstance(doc, dict) else None
+
+
+def _scan_segment(path: str) -> _SegScan[JournalRecord]:
+    return _scan_lines(path, _decode_record)
+
+
+def _scan_lines(
+    path: str, parse: Callable[[str], Optional[_Rec]]
+) -> _SegScan[_Rec]:
+    """Tolerant scan of a JSON-lines file; ``parse`` returns None for a
+    bad line."""
     with open(path, "rb") as fh:
         data = fh.read()
-    records: list[JournalRecord] = []
+    records: list[_Rec] = []
     rec_ends: list[int] = []
     bad_at: Optional[int] = None
     bad_lineno = 0
@@ -299,7 +322,7 @@ def _scan_segment(path: str) -> _SegScan:
         lineno += 1
         text = line.decode("utf-8", errors="replace")
         if text.strip():
-            rec = _decode_record(text)
+            rec = parse(text)
             if rec is None:
                 if bad_at is None:
                     bad_at, bad_lineno = pos, lineno
@@ -314,23 +337,12 @@ def _scan_segment(path: str) -> _SegScan:
     return _SegScan(path, records, rec_ends, bad_at, bad_lineno, trailing)
 
 
-def _list_sorted(root: str, prefix: str, suffix: str) -> list[tuple[int, str]]:
-    out: list[tuple[int, str]] = []
-    for name in os.listdir(root):
-        if _ignored(name) or not (name.startswith(prefix) and name.endswith(suffix)):
-            continue
-        digits = name[len(prefix): -len(suffix)]
-        if digits.isdigit():
-            out.append((int(digits), os.path.join(root, name)))
-    return sorted(out)
-
-
 def session_last_lsn(sdir: str) -> int:
     """Highest durable LSN visible on disk (snapshot names + valid
     records), tolerating torn/corrupt tails.  The reconciler uses this
     to pick the survivor of a double-ownership conflict."""
-    last = max((lsn for lsn, _ in _list_sorted(sdir, _SNAP_PREFIX, _SNAP_SUFFIX)), default=0)
-    for _, path in _list_sorted(sdir, _SEG_PREFIX, _SEG_SUFFIX):
+    last = max((lsn for lsn, _ in _listing(sdir, _SNAP_PREFIX, _SNAP_SUFFIX)), default=0)
+    for _, path in _listing(sdir, _SEG_PREFIX, _SEG_SUFFIX):
         for rec in _scan_segment(path).records:
             if rec.lsn > last:
                 last = rec.lsn
@@ -340,17 +352,9 @@ def session_last_lsn(sdir: str) -> int:
 def read_tombstone(sdir: str) -> Optional[str]:
     """Target shard named by ``moved.json``; ``"unknown"`` when the
     tombstone exists but is unreadable; ``None`` when not tombstoned."""
-    path = os.path.join(sdir, _MOVED_FILE)
-    if not os.path.isfile(path):
+    if not os.path.isfile(os.path.join(sdir, _MOVED_FILE)):
         return None
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return "unknown"
-    if isinstance(doc, dict) and isinstance(doc.get("target"), str):
-        return str(doc["target"])
-    return "unknown"
+    return moved_target(sdir)
 
 
 def _looks_like_session(path: str) -> bool:
@@ -358,8 +362,8 @@ def _looks_like_session(path: str) -> bool:
         return False
     if os.path.isfile(os.path.join(path, _CONFIG_FILE)):
         return True
-    return bool(_list_sorted(path, _SEG_PREFIX, _SEG_SUFFIX)) or bool(
-        _list_sorted(path, _SNAP_PREFIX, _SNAP_SUFFIX)
+    return bool(_listing(path, _SEG_PREFIX, _SEG_SUFFIX)) or bool(
+        _listing(path, _SNAP_PREFIX, _SNAP_SUFFIX)
     )
 
 
@@ -383,31 +387,32 @@ def _data_role(data_dir: str) -> str:
 # Session-directory scan + repair
 
 
-def _scan_session_dir(sdir: str, *, repair: bool, report: FsckReport) -> None:
-    report.scanned.append(sdir)
-    rlog = _RepairLog(sdir)
-    add = report.findings.append
-    repaired_any = False
-
-    def fix(finding: Finding) -> None:
-        nonlocal repaired_any
-        repaired_any = True
-        add(finding)
-
-    # 1. stale *.tmp files from interrupted atomic renames.
-    for name in sorted(os.listdir(sdir)):
-        if _ignored(name) or not name.endswith(".tmp"):
-            continue
-        path = os.path.join(sdir, name)
-        if not os.path.isfile(path):
+def _scan_stale_tmp(
+    root: str, rlog: _RepairLog, repair: bool, add: Callable[[Finding], None]
+) -> None:
+    """Stale ``*.tmp`` files from interrupted atomic renames."""
+    for name in sorted(os.listdir(root)):
+        path = os.path.join(root, name)
+        if _ignored(name) or not name.endswith(".tmp") or not os.path.isfile(path):
             continue
         if repair:
             _unlink(path, rlog, "stale tmp from interrupted rename")
-            fix(Finding("stale_tmp", path, "interrupted atomic rename",
-                        repair="delete", repaired=True))
-        else:
-            add(Finding("stale_tmp", path, "interrupted atomic rename",
-                        repair="delete"))
+        add(Finding("stale_tmp", path, "interrupted atomic rename",
+                    repair="delete", repaired=repair))
+
+
+def _scan_session_dir(sdir: str, *, repair: bool, report: FsckReport) -> None:
+    report.scanned.append(sdir)
+    rlog = _RepairLog(sdir)
+    repaired_any = False
+
+    def add(finding: Finding) -> None:
+        nonlocal repaired_any
+        repaired_any = repaired_any or finding.repaired
+        report.findings.append(finding)
+
+    # 1. stale *.tmp files from interrupted atomic renames.
+    _scan_stale_tmp(sdir, rlog, repair, add)
 
     # 2. tombstone readability.
     moved_path = os.path.join(sdir, _MOVED_FILE)
@@ -415,12 +420,9 @@ def _scan_session_dir(sdir: str, *, repair: bool, report: FsckReport) -> None:
         detail = "moved.json unreadable; session cannot answer MOVED correctly"
         if repair:
             _quarantine_rename(moved_path, rlog, "unreadable tombstone")
-            fix(Finding("tombstone_unreadable", moved_path, detail,
-                        repair="quarantine (source resumes authority)",
-                        repaired=True))
-        else:
-            add(Finding("tombstone_unreadable", moved_path, detail,
-                        repair="quarantine (source resumes authority)"))
+        add(Finding("tombstone_unreadable", moved_path, detail,
+                    repair="quarantine (source resumes authority)",
+                    repaired=repair))
 
     # 3. config readability (unrepairable: fsck cannot invent a config).
     cfg_path = os.path.join(sdir, _CONFIG_FILE)
@@ -431,15 +433,15 @@ def _scan_session_dir(sdir: str, *, repair: bool, report: FsckReport) -> None:
                     raise ValueError("not a JSON object")
         except (OSError, ValueError, json.JSONDecodeError) as e:
             add(Finding("config_unreadable", cfg_path, f"cannot parse: {e}"))
-    elif _list_sorted(sdir, _SEG_PREFIX, _SEG_SUFFIX) or _list_sorted(
+    elif _listing(sdir, _SEG_PREFIX, _SEG_SUFFIX) or _listing(
         sdir, _SNAP_PREFIX, _SNAP_SUFFIX
     ):
         add(Finding("config_unreadable", cfg_path,
                     "journal data present but config.json is missing"))
 
     # 4. per-segment structure.
-    scans: list[tuple[int, _SegScan]] = []
-    for start, path in _list_sorted(sdir, _SEG_PREFIX, _SEG_SUFFIX):
+    scans: list[tuple[int, _SegScan[JournalRecord]]] = []
+    for start, path in _listing(sdir, _SEG_PREFIX, _SEG_SUFFIX):
         scan = _scan_segment(path)
         if scan.kind == "torn_tail":
             assert scan.bad_at is not None
@@ -447,11 +449,8 @@ def _scan_session_dir(sdir: str, *, repair: bool, report: FsckReport) -> None:
                       f"(never acknowledged)")
             if repair:
                 _truncate(path, scan.bad_at, rlog, "torn tail")
-                fix(Finding("torn_tail", path, detail,
-                            repair="truncate to last valid record", repaired=True))
-            else:
-                add(Finding("torn_tail", path, detail,
-                            repair="truncate to last valid record"))
+            add(Finding("torn_tail", path, detail,
+                        repair="truncate to last valid record", repaired=repair))
         elif scan.kind == "corrupt_record":
             assert scan.bad_at is not None
             detail = (f"line {scan.bad_lineno}: undecodable record followed "
@@ -459,25 +458,20 @@ def _scan_session_dir(sdir: str, *, repair: bool, report: FsckReport) -> None:
             if repair:
                 _quarantine_copy(path, rlog, "segment broken mid-file")
                 _truncate(path, scan.bad_at, rlog, "cut at corrupt record")
-                fix(Finding("corrupt_record", path, detail,
-                            repair="quarantine copy, cut at corruption",
-                            repaired=True))
-            else:
-                add(Finding("corrupt_record", path, detail,
-                            repair="quarantine copy, cut at corruption"))
+            add(Finding("corrupt_record", path, detail,
+                        repair="quarantine copy, cut at corruption",
+                        repaired=repair))
         scans.append((start, scan))
 
     # 5. snapshot generations: delete past the keep window (what the
     #    interrupted checkpoint would have done), quarantine unreadable.
-    snaps = _list_sorted(sdir, _SNAP_PREFIX, _SNAP_SUFFIX)
+    snaps = _listing(sdir, _SNAP_PREFIX, _SNAP_SUFFIX)
     for lsn, path in snaps[:-_SNAP_KEEP]:
         detail = f"generation covering LSN {lsn} is past the keep window"
         if repair:
             _unlink(path, rlog, "snapshot past keep window")
-            fix(Finding("snapshot_orphan", path, detail, repair="delete",
-                        repaired=True))
-        else:
-            add(Finding("snapshot_orphan", path, detail, repair="delete"))
+        add(Finding("snapshot_orphan", path, detail, repair="delete",
+                    repaired=repair))
 
     kept = snaps[-_SNAP_KEEP:]
     base_lsn = 0
@@ -494,57 +488,27 @@ def _scan_session_dir(sdir: str, *, repair: bool, report: FsckReport) -> None:
             detail = f"snapshot covering LSN {lsn} unreadable: {e}"
             if repair:
                 _quarantine_rename(path, rlog, "unreadable snapshot")
-                fix(Finding("snapshot_unreadable", path, detail,
-                            repair="quarantine (recovery falls back)",
-                            repaired=True))
-            else:
-                add(Finding("snapshot_unreadable", path, detail,
-                            repair="quarantine (recovery falls back)"))
+            add(Finding("snapshot_unreadable", path, detail,
+                        repair="quarantine (recovery falls back)",
+                        repaired=repair))
             continue
         if lsn >= base_lsn:
             base_lsn, base_doc, base_path = lsn, doc, path
 
     # 6. dedup sidecar of the surviving base snapshot.
-    if base_doc is not None and "service_dedup" in base_doc:
-        entries = base_doc["service_dedup"]
-        bad = [
-            item
-            for item in (entries if isinstance(entries, list) else [entries])
-            if not (
-                isinstance(item, list)
-                and len(item) == 2
-                and isinstance(item[0], str)
-                and isinstance(item[1], dict)
-            )
-        ]
-        if not isinstance(entries, list) or bad:
-            detail = (f"{len(bad) if isinstance(entries, list) else 1} malformed "
-                      f"dedup entr{'y' if len(bad) == 1 else 'ies'} "
+    if base_doc is not None:
+        entries, bad = dedup_sidecar(base_doc)
+        if bad:
+            detail = (f"{bad} malformed dedup entr{'y' if bad == 1 else 'ies'} "
                       f"(recovery would silently drop them)")
             if repair:
-                keep_entries = (
-                    [item for item in entries if item not in bad]
-                    if isinstance(entries, list) else []
-                )
                 fixed = dict(base_doc)
-                if keep_entries:
-                    fixed["service_dedup"] = keep_entries
-                else:
-                    fixed.pop("service_dedup", None)
-                tmp = base_path + ".tmp"
-                with open(tmp, "w", encoding="utf-8") as fh:
-                    json.dump(fixed, fh, sort_keys=True)
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                os.replace(tmp, base_path)
-                _fsync_dir(sdir)
+                set_dedup_sidecar(fixed, entries)
+                write_json_durable(base_path, fixed)
                 rlog.record("rewrite", base_path, "dropped malformed dedup entries")
-                fix(Finding("dedup_sidecar", base_path, detail,
-                            repair="rewrite snapshot without malformed entries",
-                            repaired=True))
-            else:
-                add(Finding("dedup_sidecar", base_path, detail,
-                            repair="rewrite snapshot without malformed entries"))
+            add(Finding("dedup_sidecar", base_path, detail,
+                        repair="rewrite snapshot without malformed entries",
+                        repaired=repair))
 
     # 7. replay-chain contiguity above the base snapshot, over the valid
     #    record prefixes (the post-repair view of step 4).
@@ -569,12 +533,9 @@ def _scan_session_dir(sdir: str, *, repair: bool, report: FsckReport) -> None:
                     if os.path.exists(later.path):
                         _quarantine_rename(later.path, rlog,
                                            f"past {kind} at LSN {rec.lsn}")
-                fix(Finding(kind, scan.path, detail,
-                            repair="quarantine everything past the chain break",
-                            repaired=True))
-            else:
-                add(Finding(kind, scan.path, detail,
-                            repair="quarantine everything past the chain break"))
+            add(Finding(kind, scan.path, detail,
+                        repair="quarantine everything past the chain break",
+                        repaired=repair))
         if violated:
             break
 
@@ -607,22 +568,7 @@ def _scan_session_dir(sdir: str, *, repair: bool, report: FsckReport) -> None:
 def _scan_server_dir(root: str, *, repair: bool, report: FsckReport) -> list[str]:
     """Scan one shard/server data directory; returns the session subdirs."""
     report.scanned.append(root)
-    rlog = _RepairLog(root)
-    for name in sorted(os.listdir(root)):
-        if _ignored(name) or not name.endswith(".tmp"):
-            continue
-        path = os.path.join(root, name)
-        if not os.path.isfile(path):
-            continue
-        if repair:
-            _unlink(path, rlog, "stale tmp from interrupted rename")
-            report.findings.append(
-                Finding("stale_tmp", path, "interrupted atomic rename",
-                        repair="delete", repaired=True))
-        else:
-            report.findings.append(
-                Finding("stale_tmp", path, "interrupted atomic rename",
-                        repair="delete"))
+    _scan_stale_tmp(root, _RepairLog(root), repair, report.findings.append)
     sessions = []
     for name in sorted(os.listdir(root)):
         path = os.path.join(root, name)
@@ -636,62 +582,25 @@ def _scan_ledger(root: str, *, repair: bool, report: FsckReport) -> None:
     path = os.path.join(root, REALLOC_FILE)
     if not os.path.isfile(path):
         return
-    with open(path, "rb") as fh:
-        data = fh.read()
-    pos, bad_at, bad_lineno, trailing, lineno = 0, None, 0, False, 0
-    size = len(data)
-    while pos < size:
-        nl = data.find(b"\n", pos)
-        end = size if nl == -1 else nl + 1
-        line = data[pos: size if nl == -1 else nl]
-        lineno += 1
-        text = line.decode("utf-8", errors="replace")
-        if text.strip():
-            ok = False
-            try:
-                ok = isinstance(json.loads(text), dict)
-            except json.JSONDecodeError:
-                ok = False
-            if not ok and bad_at is None:
-                bad_at, bad_lineno = pos, lineno
-            elif bad_at is not None:
-                trailing = True
-        pos = end
-    if bad_at is None:
+    scan = _scan_lines(path, _ledger_record)
+    if scan.bad_at is None:
         return
-    detail = f"line {bad_lineno}: unparsable ledger record"
+    detail = f"line {scan.bad_lineno}: unparsable ledger record"
     rlog = _RepairLog(root)
     if repair:
-        if trailing:
+        if scan.trailing:
             _quarantine_copy(path, rlog, "ledger broken mid-file")
-        _truncate(path, bad_at, rlog, "cut at unparsable ledger record")
-        report.findings.append(
-            Finding("ledger_torn", path, detail,
-                    repair="cut at first unparsable record", repaired=True))
-    else:
-        report.findings.append(
-            Finding("ledger_torn", path, detail,
-                    repair="cut at first unparsable record"))
+        _truncate(path, scan.bad_at, rlog, "cut at unparsable ledger record")
+    report.findings.append(Finding("ledger_torn", path, detail,
+                                   repair="cut at first unparsable record",
+                                   repaired=repair))
 
 
 def _scan_cluster_root(root: str, *, repair: bool, report: FsckReport) -> None:
     report.scanned.append(root)
     rlog = _RepairLog(root)
     add = report.findings.append
-
-    for name in sorted(os.listdir(root)):
-        if _ignored(name) or not name.endswith(".tmp"):
-            continue
-        path = os.path.join(root, name)
-        if not os.path.isfile(path):
-            continue
-        if repair:
-            _unlink(path, rlog, "stale tmp from interrupted rename")
-            add(Finding("stale_tmp", path, "interrupted atomic rename",
-                        repair="delete", repaired=True))
-        else:
-            add(Finding("stale_tmp", path, "interrupted atomic rename",
-                        repair="delete"))
+    _scan_stale_tmp(root, rlog, repair, add)
 
     manifest_path = os.path.join(root, MANIFEST_FILE)
     try:
@@ -709,12 +618,9 @@ def _scan_cluster_root(root: str, *, repair: bool, report: FsckReport) -> None:
                       f"hashing and MOVED chasing")
             if repair:
                 _quarantine_rename(placement_path, rlog, "unreadable placement")
-                add(Finding("placement_unreadable", placement_path, detail,
-                            repair="quarantine (reconciler re-learns overrides)",
-                            repaired=True))
-            else:
-                add(Finding("placement_unreadable", placement_path, detail,
-                            repair="quarantine (reconciler re-learns overrides)"))
+            add(Finding("placement_unreadable", placement_path, detail,
+                        repair="quarantine (reconciler re-learns overrides)",
+                        repaired=repair))
 
     _scan_ledger(root, repair=repair, report=report)
 
@@ -726,11 +632,8 @@ def _scan_cluster_root(root: str, *, repair: bool, report: FsckReport) -> None:
             if repair:
                 os.makedirs(spec.data, exist_ok=True)
                 rlog.record("mkdir", spec.data, "recreated missing shard data dir")
-                add(Finding("shard_data_missing", spec.data, detail,
-                            repair="recreate empty", repaired=True))
-            else:
-                add(Finding("shard_data_missing", spec.data, detail,
-                            repair="recreate empty"))
+            add(Finding("shard_data_missing", spec.data, detail,
+                        repair="recreate empty", repaired=repair))
             continue
         # Journal-level repair applies to every shard's sessions, but
         # replicas and fenced ex-primaries hold *copies* -- they never

@@ -47,7 +47,6 @@ ownership.  The periodic in-group sweep is
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Any, Optional
@@ -59,7 +58,6 @@ from repro.obs.logsetup import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.recovery.fsck import (
     _data_role,
-    _list_sorted,
     _looks_like_session,
     _quarantine_copy,
     _quarantine_rename,
@@ -70,15 +68,17 @@ from repro.recovery.fsck import (
     session_last_lsn,
 )
 from repro.service.client import RetryPolicy, ServiceClient
+from repro.service.image import _CONFIG_FILE, _MOVED_FILE
 from repro.service.journal import (
     _SEG_PREFIX,
     _SEG_SUFFIX,
     _SNAP_PREFIX,
     _SNAP_SUFFIX,
     _fsync_dir,
+    _listing,
+    write_json_durable,
 )
 from repro.service.protocol import ServiceError
-from repro.service.sessions import _CONFIG_FILE, _MOVED_FILE
 
 log = get_logger("recovery.reconcile")
 
@@ -227,17 +227,9 @@ def _measure(shards: _Shards, name: str, sid: str) -> tuple[float, float]:
 
 
 def _rewrite_tombstone(sdir: str, target: str) -> None:
-    """Durably (re)write ``moved.json`` -- same tmp/rename discipline as
-    the server's seal path; safe offline because tombstoned sessions are
-    never attached."""
-    moved_path = os.path.join(sdir, _MOVED_FILE)
-    tmp = moved_path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump({"target": target}, fh)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, moved_path)
-    _fsync_dir(sdir)
+    """Durably (re)write ``moved.json``; safe offline because tombstoned
+    sessions are never attached."""
+    write_json_durable(os.path.join(sdir, _MOVED_FILE), {"target": target})
 
 
 def _remove_tombstone(sdir: str) -> None:
@@ -256,13 +248,13 @@ def _truncate_divergent(sdir: str, keep_lsn: int) -> list[str]:
     """
     rlog = _RepairLog(sdir)
     actions: list[str] = []
-    for lsn, path in _list_sorted(sdir, _SNAP_PREFIX, _SNAP_SUFFIX):
+    for lsn, path in _listing(sdir, _SNAP_PREFIX, _SNAP_SUFFIX):
         if lsn > keep_lsn:
             actions.append(f"quarantined snapshot at LSN {lsn}")
             _quarantine_rename(
                 path, rlog, f"snapshot past quorum-durable LSN {keep_lsn}"
             )
-    for _start, path in _list_sorted(sdir, _SEG_PREFIX, _SEG_SUFFIX):
+    for _start, path in _listing(sdir, _SEG_PREFIX, _SEG_SUFFIX):
         scan = _scan_segment(path)
         keep = 0
         for rec in scan.records:

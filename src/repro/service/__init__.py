@@ -15,6 +15,9 @@ schedulers of :mod:`repro.core` into a served system:
   with per-session serialization, load shedding, idempotency-key dedup,
   degraded (read-only) mode with background recovery, and LRU eviction
   to snapshots with lazy rehydration;
+* :mod:`repro.service.image`    -- the session image every state
+  transfer carries, the one journal-record -> answer rule, and crash
+  recovery;
 * :mod:`repro.service.server`   -- asyncio TCP/UNIX-socket front end;
 * :mod:`repro.service.client`   -- sync + async client library with
   per-call timeouts, seeded-backoff retries and idempotency keys;
@@ -28,6 +31,7 @@ docs/SERVICE.md; fault injection and retry semantics in docs/FAULTS.md.
 """
 
 from repro.service.client import AsyncServiceClient, RetryPolicy, ServiceClient
+from repro.service.image import recover_scheduler, replay_journal_dir
 from repro.service.journal import Journal, JournalCorrupt, JournalRecord
 from repro.service.loadgen import LoadgenOptions, run_loadgen, run_loadgen_sync
 from repro.service.protocol import (
@@ -39,7 +43,7 @@ from repro.service.protocol import (
     SessionConfig,
 )
 from repro.service.server import ServiceServer
-from repro.service.sessions import SessionManager, recover_scheduler, replay_journal_dir
+from repro.service.sessions import SessionManager
 
 __all__ = [
     "AsyncServiceClient",

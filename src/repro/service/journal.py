@@ -153,6 +153,33 @@ def _fsync_dir(path: str) -> None:
         os.close(fd)
 
 
+def write_json_durable(path: str, doc: Any) -> None:
+    """Replace ``path`` with ``doc`` as JSON, atomically and durably.
+
+    Write a temp file, fsync it, rename it over ``path``, then fsync the
+    directory: without that last step a power loss after the rename can
+    bring the old file back (an undone seal or fence).
+    """
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+    _fsync_dir(os.path.dirname(path) or ".")
+
+
+def _listing(root: str, prefix: str, suffix: str) -> list[tuple[int, str]]:
+    """Sorted ``(number, path)`` of the ``<prefix><digits><suffix>`` files."""
+    out: list[tuple[int, str]] = []
+    for name in os.listdir(root):
+        if name.startswith(prefix) and name.endswith(suffix):
+            digits = name[len(prefix) : -len(suffix)]
+            if digits.isdigit():
+                out.append((int(digits), os.path.join(root, name)))
+    return sorted(out)
+
+
 class Journal:
     """Append-only journal over one directory.
 
@@ -198,23 +225,19 @@ class Journal:
 
     def _segments(self) -> list[tuple[int, str]]:
         """Sorted ``(start_lsn, path)`` for every segment on disk."""
-        out: list[tuple[int, str]] = []
-        for name in os.listdir(self.root):
-            if name.startswith(_SEG_PREFIX) and name.endswith(_SEG_SUFFIX):
-                digits = name[len(_SEG_PREFIX) : -len(_SEG_SUFFIX)]
-                if digits.isdigit():
-                    out.append((int(digits), os.path.join(self.root, name)))
-        return sorted(out)
+        return _listing(self.root, _SEG_PREFIX, _SEG_SUFFIX)
 
     def _snapshots(self) -> list[tuple[int, str]]:
         """Sorted ``(covered_lsn, path)`` for every snapshot on disk."""
-        out: list[tuple[int, str]] = []
-        for name in os.listdir(self.root):
-            if name.startswith(_SNAP_PREFIX) and name.endswith(_SNAP_SUFFIX):
-                digits = name[len(_SNAP_PREFIX) : -len(_SNAP_SUFFIX)]
-                if digits.isdigit():
-                    out.append((int(digits), os.path.join(self.root, name)))
-        return sorted(out)
+        return _listing(self.root, _SNAP_PREFIX, _SNAP_SUFFIX)
+
+    @staticmethod
+    def discard(root: str) -> None:
+        """Delete every segment and snapshot under ``root`` (a replica
+        install: the incoming image supersedes the local copy wholesale)."""
+        for prefix, suffix in ((_SEG_PREFIX, _SEG_SUFFIX), (_SNAP_PREFIX, _SNAP_SUFFIX)):
+            for _, path in _listing(root, prefix, suffix):
+                os.unlink(path)
 
     def _scan_last_lsn(self) -> int:
         """Highest durable LSN: last valid record, else latest snapshot."""
@@ -262,24 +285,29 @@ class Journal:
     def last_lsn(self) -> int:
         return self._lsn
 
+    def next_record(
+        self, op: str, name: str, size: int, idem: Optional[str] = None
+    ) -> JournalRecord:
+        """The record a new mutating request gets: the next LSN."""
+        return JournalRecord(lsn=self._lsn + 1, op=op, name=name, size=size, idem=idem)
+
     def append(self, op: str, name: str, size: int, *, idem: Optional[str] = None) -> int:
-        """Durably log one mutating request; returns its LSN.
+        """Durably log one mutating request; returns its LSN."""
+        return self.append_record(self.next_record(op, name, size, idem))
+
+    def append_record(self, rec: JournalRecord) -> int:
+        """Durably log one record; returns its LSN.
+
+        ``rec`` must extend this journal exactly: a :meth:`next_record`
+        of a live write, or a record shipped from the primary (the
+        replica side of journal shipping, docs/CLUSTER.md), adopted
+        verbatim.  A gap or regression means a shipped stream diverged,
+        and the caller must fall back to the snapshot catch-up path.
 
         All-or-nothing: on an I/O error (real or injected via the
         ``journal.append.*`` failpoints) the partial write is rewound
         and the LSN is not consumed, so the journal stays replayable --
         the caller decides whether to degrade the session.
-        """
-        rec = JournalRecord(lsn=self._lsn + 1, op=op, name=name, size=size, idem=idem)
-        return self._append_rec(rec)
-
-    def append_record(self, rec: JournalRecord) -> int:
-        """Adopt one already-encoded record verbatim, preserving its LSN.
-
-        The replica side of journal shipping (docs/CLUSTER.md): the
-        primary assigned the LSN, so it must extend this journal exactly
-        -- a gap or regression means the stream diverged and the caller
-        must fall back to the snapshot catch-up path.
         """
         if rec.lsn != self._lsn + 1:
             raise ValueError(
@@ -385,12 +413,7 @@ class Journal:
         from a crashed predecessor (any valid record in it would have
         advanced the scanned LSN), so truncating it is safe.
         """
-        if self._fh is not None:
-            if self.fsync != "never":
-                os.fsync(self._fh.fileno())
-                self.fsyncs += 1
-            self._fh.close()
-            self._fh = None
+        self.close()
         plan = faults.ACTIVE
         if plan is not None:
             plan.hit("journal.roll.io")
@@ -545,16 +568,9 @@ def read_journal_records(root: str) -> dict[str, list[JournalRecord]]:
     (one level of session subdirectories is scanned).
     """
 
-    def _segment_files(d: str) -> list[str]:
-        return sorted(
-            n
-            for n in os.listdir(d)
-            if n.startswith(_SEG_PREFIX)
-            and n.endswith(_SEG_SUFFIX)
-            and n[len(_SEG_PREFIX) : -len(_SEG_SUFFIX)].isdigit()
-        )
-
-    if _segment_files(root) or os.path.isfile(os.path.join(root, "config.json")):
+    if _listing(root, _SEG_PREFIX, _SEG_SUFFIX) or os.path.isfile(
+        os.path.join(root, "config.json")
+    ):
         roots = [(os.path.basename(os.path.abspath(root)), root)]
     else:
         roots = [
@@ -565,8 +581,8 @@ def read_journal_records(root: str) -> dict[str, list[JournalRecord]]:
     out: dict[str, list[JournalRecord]] = {}
     for sid, r in roots:
         records: list[JournalRecord] = []
-        for name in _segment_files(r):
-            for rec, _ in Journal._read_segment(os.path.join(r, name)):
+        for _, path in _listing(r, _SEG_PREFIX, _SEG_SUFFIX):
+            for rec, _ in Journal._read_segment(path):
                 records.append(rec)
         out[sid] = sorted(records, key=lambda rec: rec.lsn)
     return out

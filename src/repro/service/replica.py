@@ -58,7 +58,8 @@ ACK_MODES = ("quorum", "async")
 _BACKOFF = 0.5
 
 #: Returns ``(snapshot_doc, config_doc)`` for the session being shipped;
-#: the doc carries ``service_lsn`` (see ``_op_repl_snapshot``).
+#: the doc is an encoded session image carrying the LSN floor it covers
+#: (see ``_op_repl_snapshot``).
 SnapshotFn = Callable[[], tuple[dict[str, Any], dict[str, Any]]]
 
 

@@ -16,7 +16,6 @@ docs/SERVICE.md, "Durability").
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import random
 import signal
@@ -35,6 +34,7 @@ from repro.service.protocol import (
     ok_response,
     request_from_doc,
 )
+from repro.service.journal import write_json_durable
 from repro.service.sessions import SessionManager
 from repro.service.tracing import OpTrace
 
@@ -101,12 +101,7 @@ class ServiceServer:
         if self.ready_file is None:
             return
         doc = {"pid": os.getpid(), "port": self.tcp_port, "unix": self.unix_path}
-        tmp = self.ready_file + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.ready_file)
+        write_json_durable(self.ready_file, doc)
 
     def request_shutdown(self) -> None:
         self._stop.set()

@@ -13,6 +13,9 @@ asyncio event loop and provides the guarantees the protocol promises:
   checkpointed (snapshot with ledger + journal truncation) and dropped;
   the next operation on it recovers from disk transparently.  Eviction
   rides the victim's own queue, so it serializes with in-flight ops.
+  Eviction, migration, replica install and the degraded heal all move
+  the same :class:`~repro.service.image.SessionImage`, through one
+  checkpoint-and-drop step and one install step.
 * **Write-ahead ordering.**  Mutations are validated, journaled (per
   the fsync policy), then applied; an acknowledged op is exactly as
   durable as the policy promises.
@@ -46,35 +49,41 @@ import json
 import os
 import re
 import time
-from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Callable, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro import faults
 
 from repro.core.costfn import STANDARD_FAMILY
 from repro.core.parallel import ParallelScheduler
-from repro.core.single import SingleServerScheduler
-from repro.core.snapshot import (
-    restore_parallel,
-    restore_single,
-    snapshot_parallel,
-    snapshot_single,
-)
-from repro.obs.instrument import attach
 from repro.obs.logsetup import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.service import tracing
+
+from repro.service.image import (
+    _CONFIG_FILE,
+    _MOVED_FILE,
+    DedupWindow,
+    SchedulerT,
+    SessionImage,
+    apply_record,
+    lsn_floor,
+    moved_target,
+)
+
+# Re-exported: the benchmark suite imports these from this module.
+from repro.service.image import (
+    build_scheduler as build_scheduler,
+    recover_scheduler as recover_scheduler,
+    restore_snapshot as restore_snapshot,
+    take_snapshot as take_snapshot,
+)
 from repro.service.journal import (
-    _SEG_PREFIX,
-    _SEG_SUFFIX,
-    _SNAP_PREFIX,
-    _SNAP_SUFFIX,
     Journal,
     JournalCorrupt,
     JournalRecord,
     _decode_record,
-    _fsync_dir,
+    write_json_durable,
 )
 from repro.service.protocol import (
     ErrorCode,
@@ -89,13 +98,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a hard import)
 
 log = get_logger("service")
 
-SchedulerT = Union[SingleServerScheduler, ParallelScheduler]
-
 _SID_RE = re.compile(r"^[A-Za-z0-9._-]{1,128}$")
-_CONFIG_FILE = "config.json"
-#: Tombstone left by ``migrate_seal``: the session now lives on another
-#: shard; later ops here answer MOVED with the target shard name.
-_MOVED_FILE = "moved.json"
 
 #: Replication-role markers at the *data-dir* root (docs/CLUSTER.md):
 #: a replica serve writes ``replica.json`` naming its primary;
@@ -128,200 +131,6 @@ _QueueItem = Optional[
         Optional[OpTrace],
     ]
 ]
-
-
-# ---------------------------------------------------------------------------
-# Scheduler construction / snapshot / recovery
-
-
-def build_scheduler(cfg: SessionConfig) -> SchedulerT:
-    if cfg.p > 1:
-        return ParallelScheduler(
-            cfg.p, cfg.max_size, delta=cfg.delta, dynamic=cfg.dynamic
-        )
-    return SingleServerScheduler(
-        cfg.max_size, delta=cfg.delta, dynamic=cfg.dynamic
-    )
-
-
-def take_snapshot(sched: SchedulerT) -> dict[str, Any]:
-    """Full state snapshot *including* ledger totals (exact accounting
-    across recovery -- see :mod:`repro.core.snapshot`)."""
-    if isinstance(sched, ParallelScheduler):
-        return snapshot_parallel(sched, include_ledger=True)
-    return snapshot_single(sched, include_ledger=True)
-
-
-def restore_snapshot(doc: dict[str, Any]) -> SchedulerT:
-    kind = doc.get("kind")
-    if kind == "parallel":
-        return restore_parallel(doc)
-    if kind == "single":
-        return restore_single(doc)
-    raise ServiceError(
-        ErrorCode.JOURNAL_CORRUPT, f"snapshot has unknown kind {kind!r}"
-    )
-
-
-def recover_scheduler(
-    root: str,
-    cfg: SessionConfig,
-    *,
-    fsync: str = "interval",
-    fsync_interval: int = 64,
-    registry: Optional[MetricsRegistry] = None,
-    tracer: Optional[Tracer] = None,
-    attach_obs: bool = False,
-) -> tuple[SchedulerT, Journal, dict[str, Any]]:
-    """Crash recovery: latest snapshot + journal-tail replay.
-
-    Returns the rebuilt scheduler, the (re-opened) journal, and an info
-    dict (``replayed``, ``from_snapshot``, ``last_lsn``, ``dedup``).
-    The recovered idempotency-dedup entries (snapshot sidecar plus keys
-    replayed from the tail) ride under the private ``"_dedup_entries"``
-    key, which callers pop before exposing the info dict.  With
-    ``attach_obs=True`` the replay itself is instrumented, so the
-    recovered run feeds the PR-1 counter-delta replay validation
-    (``repro report --journal``).
-    """
-    journal = Journal(
-        root, fsync=fsync, fsync_interval=fsync_interval, registry=registry
-    )
-    span_open = False
-    if tracer is not None:
-        tracer.begin_span("recovery", {"dir": root})
-        span_open = True
-    t0 = time.perf_counter()
-    try:
-        snap_doc, tail = journal.recover()
-        dedup_entries: list[tuple[str, dict[str, Any]]] = []
-        if snap_doc is not None:
-            for item in snap_doc.pop("service_dedup", []):
-                if (
-                    isinstance(item, list)
-                    and len(item) == 2
-                    and isinstance(item[0], str)
-                    and isinstance(item[1], dict)
-                ):
-                    dedup_entries.append((item[0], item[1]))
-            sched = restore_snapshot(snap_doc)
-        else:
-            sched = build_scheduler(cfg)
-        attachment = (
-            attach(sched, registry, tracer)
-            if attach_obs and (registry is not None or tracer is not None)
-            else None
-        )
-        try:
-            dedup_entries.extend(_replay_tail(sched, tail))
-        finally:
-            if attachment is not None:
-                attachment.detach()
-    finally:
-        if span_open and tracer is not None:
-            tracer.end_span("recovery", {"seconds": round(time.perf_counter() - t0, 6)})
-    info: dict[str, Any] = {
-        "replayed": len(tail),
-        "from_snapshot": snap_doc is not None,
-        "last_lsn": journal.last_lsn,
-        "dedup": len(dedup_entries),
-        "_dedup_entries": dedup_entries,
-    }
-    if registry is not None:
-        registry.inc_all(
-            {"service.recovery.count": 1, "service.recovery.replayed": len(tail)}
-        )
-        registry.histogram("service.recovery.seconds").observe(
-            time.perf_counter() - t0
-        )
-    return sched, journal, info
-
-
-def _replay_tail(
-    sched: SchedulerT, tail: list[JournalRecord]
-) -> list[tuple[str, dict[str, Any]]]:
-    """Apply the journal tail; rebuild dedup entries from keyed records.
-
-    The reconstructed results mirror what :meth:`SessionManager._op_insert`
-    / ``_op_delete`` originally returned, so a client retrying across a
-    crash gets byte-identical answers.
-    """
-    entries: list[tuple[str, dict[str, Any]]] = []
-    for rec in tail:
-        try:
-            if rec.op == "insert":
-                pj = sched.insert(rec.name, rec.size)
-                if rec.idem is not None:
-                    entries.append(
-                        (
-                            rec.idem,
-                            {
-                                "lsn": rec.lsn,
-                                "placed": {
-                                    "name": rec.name,
-                                    "size": rec.size,
-                                    "klass": pj.klass,
-                                    "start": pj.start,
-                                    "server": pj.server,
-                                },
-                            },
-                        )
-                    )
-            elif rec.op == "delete":
-                sched.delete(rec.name)
-                if rec.idem is not None:
-                    entries.append((rec.idem, {"lsn": rec.lsn, "size": rec.size}))
-            else:
-                raise JournalCorrupt(f"unknown journal op {rec.op!r} at LSN {rec.lsn}")
-        except KeyError:
-            # Ops are validated before journaling, so this indicates a
-            # journal written by a buggy/foreign writer; warn, don't die.
-            log.warning("replay: op at LSN %d no longer applies", rec.lsn)
-    return entries
-
-
-# ---------------------------------------------------------------------------
-# Sessions
-
-
-class DedupWindow:
-    """Bounded FIFO map of idempotency key -> original op result.
-
-    ``put`` evicts the oldest entries past ``cap`` (FIFO, not LRU: a
-    *hit* must not extend a key's lifetime, or a pathological retry loop
-    could pin the window forever).  Entries round-trip through the
-    snapshot sidecar via :meth:`entries`.
-    """
-
-    __slots__ = ("cap", "_map")
-
-    def __init__(self, cap: int) -> None:
-        self.cap = cap
-        self._map: "OrderedDict[str, dict[str, Any]]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._map)
-
-    def get(self, key: str) -> Optional[dict[str, Any]]:
-        return self._map.get(key)
-
-    def put(self, key: str, result: dict[str, Any]) -> int:
-        """Record a result; returns how many old entries were evicted."""
-        if self.cap < 1:
-            return 0
-        self._map[key] = result
-        evicted = 0
-        while len(self._map) > self.cap:
-            self._map.popitem(last=False)
-            evicted += 1
-        return evicted
-
-    def clear(self) -> None:
-        self._map.clear()
-
-    def entries(self) -> list[tuple[str, dict[str, Any]]]:
-        """Oldest-first (insertion-order) entries, for the snapshot sidecar."""
-        return list(self._map.items())
 
 
 class Session:
@@ -446,10 +255,7 @@ class SessionManager:
             p_epoch = promoted.get("epoch")
             if isinstance(p_epoch, int) and p_epoch > self.epoch:
                 self.epoch = p_epoch
-            try:
-                os.unlink(os.path.join(root, _REPLICA_FILE))
-            except OSError:
-                pass
+            self._remove_marker(_REPLICA_FILE)
         elif replica_of:
             self.replica_of = replica_of
             self._write_marker(_REPLICA_FILE, {"primary": replica_of})
@@ -465,17 +271,6 @@ class SessionManager:
             ) and not os.path.isfile(os.path.join(sdir, _MOVED_FILE)):
                 out.append(name)
         return out
-
-    @staticmethod
-    def _moved_target(sdir: str) -> str:
-        """Target shard named by a ``moved.json`` tombstone."""
-        try:
-            with open(os.path.join(sdir, _MOVED_FILE), encoding="utf-8") as fh:
-                doc = json.load(fh)
-            target = doc.get("target")
-        except (OSError, json.JSONDecodeError):
-            target = None
-        return target if isinstance(target, str) else "unknown"
 
     def live_count(self) -> int:
         return sum(1 for s in self.sessions.values() if s.live)
@@ -513,15 +308,16 @@ class SessionManager:
         assert req.session is not None
         if op == "close":
             return await self.close(req.session, ot=ot)
-        if op == "migrate_in":
+        if op == "migrate_in" or op == "repl_install":
             assert req.snapshot is not None
             sess = self._attach(
                 req.session, req.config, create=True, adopt=True
             )[0]
             snap = req.snapshot
-            return await self._enqueue(
-                sess, lambda: self._op_migrate_in(sess, snap), ot=ot
+            adopt = (
+                self._op_migrate_in if op == "migrate_in" else self._op_repl_install
             )
+            return await self._enqueue(sess, lambda: adopt(sess, snap), ot=ot)
         if op == "migrate_seal":
             assert req.target is not None
             return await self.migrate_seal(req.session, req.target, ot=ot)
@@ -535,31 +331,16 @@ class SessionManager:
             return await self._enqueue(
                 sess, lambda: self._op_repl_apply(sess, records), ot=ot
             )
-        if op == "repl_install":
-            assert req.snapshot is not None
-            sess = self._attach(
-                req.session, req.config, create=True, adopt=True
-            )[0]
-            install_snap = req.snapshot
-            return await self._enqueue(
-                sess, lambda: self._op_repl_install(sess, install_snap), ot=ot
-            )
         sess = self._attach(req.session, None, create=False)[0]
         if op == "migrate_out":
             return await self._enqueue(
                 sess, lambda: self._op_migrate_out(sess), ot=ot
             )
-        if op == "insert":
-            assert req.name is not None and req.size is not None
+        if op == "insert" or op == "delete":
+            assert req.name is not None
             name, size, idem = req.name, req.size, req.idem
             return await self._enqueue(
-                sess, lambda: self._op_insert(sess, name, size, idem), ot=ot
-            )
-        if op == "delete":
-            assert req.name is not None
-            name, idem = req.name, req.idem
-            return await self._enqueue(
-                sess, lambda: self._op_delete(sess, name, idem), ot=ot
+                sess, lambda: self._op_write(sess, op, name, size, idem), ot=ot
             )
         if op == "query":
             return await self._enqueue(
@@ -595,9 +376,7 @@ class SessionManager:
         if sid not in self.sessions and sid in self.session_ids_on_disk():
             return {"closed": True, "noop": True}
         sess = self._attach(sid, None, create=False)[0]
-        res = await self._enqueue(sess, lambda: self._op_evict(sess), ot=ot)
-        await self._stop_session(sess)
-        self.sessions.pop(sid, None)
+        res = await self._retire(sess, lambda: self._op_evict(sess), ot)
         out: dict[str, Any] = {"closed": True}
         if "lsn" in res:
             out["checkpoint_lsn"] = res["lsn"]
@@ -619,7 +398,7 @@ class SessionManager:
                 return {
                     "sealed": True,
                     "noop": True,
-                    "target": self._moved_target(sdir),
+                    "target": moved_target(sdir),
                 }
             if not os.path.isfile(os.path.join(sdir, _CONFIG_FILE)):
                 raise ServiceError(
@@ -629,11 +408,20 @@ class SessionManager:
             self._write_tombstone(sdir, target)
             return {"sealed": True, "target": target}
         sess = self.sessions[sid]
-        res = await self._enqueue(
-            sess, lambda: self._op_migrate_seal(sess, target), ot=ot
+        return await self._retire(
+            sess, lambda: self._op_migrate_seal(sess, target), ot
         )
+
+    async def _retire(
+        self,
+        sess: Session,
+        fn: Callable[[], dict[str, Any]],
+        ot: Optional[OpTrace],
+    ) -> dict[str, Any]:
+        """Run ``fn`` as the session's last op, then stop and forget it."""
+        res = await self._enqueue(sess, fn, ot=ot)
         await self._stop_session(sess)
-        self.sessions.pop(sid, None)
+        self.sessions.pop(sess.sid, None)
         return res
 
     def health(self) -> dict[str, Any]:
@@ -669,14 +457,13 @@ class SessionManager:
         return doc if isinstance(doc, dict) else None
 
     def _write_marker(self, name: str, doc: dict[str, Any]) -> None:
-        path = os.path.join(self.root, name)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        _fsync_dir(self.root)
+        write_json_durable(os.path.join(self.root, name), doc)
+
+    def _remove_marker(self, name: str) -> None:
+        try:
+            os.unlink(os.path.join(self.root, name))
+        except OSError:
+            pass
 
     def _check_fence(self) -> None:
         """Refuse mutations once a newer epoch has fenced this shard.
@@ -742,18 +529,12 @@ class SessionManager:
         if self.replica_of is None and epoch <= self.epoch:
             return {"promoted": True, "epoch": self.epoch, "noop": True}
         self._write_marker(_PROMOTED_FILE, {"epoch": epoch})
-        try:
-            os.unlink(os.path.join(self.root, _REPLICA_FILE))
-        except OSError:
-            pass
+        self._remove_marker(_REPLICA_FILE)
         fence = self._read_marker(_FENCE_FILE)
         if fence is not None:
             f_epoch = fence.get("epoch")
             if not isinstance(f_epoch, int) or f_epoch <= epoch:
-                try:
-                    os.unlink(os.path.join(self.root, _FENCE_FILE))
-                except OSError:
-                    pass
+                self._remove_marker(_FENCE_FILE)
                 self._fence = None
         self.replica_of = None
         self.epoch = max(self.epoch, epoch)
@@ -896,7 +677,7 @@ class SessionManager:
                 # supersedes whatever this tombstoned directory holds.
                 os.unlink(moved_path)
             else:
-                target = self._moved_target(sdir)
+                target = moved_target(sdir)
                 raise ServiceError(
                     ErrorCode.MOVED,
                     f"session {sid!r} moved to shard {target!r}",
@@ -916,12 +697,7 @@ class SessionManager:
                 )
             cfg = SessionConfig.from_mapping(config_map or {})
             os.makedirs(sdir, exist_ok=True)
-            tmp = cfg_path + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(cfg.to_dict(), fh, sort_keys=True)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, cfg_path)
+            write_json_durable(cfg_path, cfg.to_dict())
             created = True
         queue: "asyncio.Queue[_QueueItem]" = asyncio.Queue(maxsize=self.queue_depth)
         sess = Session(
@@ -1152,10 +928,7 @@ class SessionManager:
                 f"session {sess.sid!r} recovery failed: {e}",
                 retry_after=self.retry_after_hint,
             ) from e
-        entries = info.pop("_dedup_entries", [])
-        sess.dedup.clear()
-        for key, result in entries:
-            sess.dedup.put(key, result)
+        sess.dedup.load(info.pop("_dedup_entries", []))
         sess.scheduler, sess.journal, sess.last_recovery = sched, journal, info
         sess.degraded = None
         if info["replayed"] or info["from_snapshot"]:
@@ -1165,6 +938,16 @@ class SessionManager:
             )
         self._maybe_evict(exclude=sess.sid)
         return sched
+
+    @staticmethod
+    def _close_journal(sess: Session) -> None:
+        """Forget the session's journal handle, closing it best-effort."""
+        journal, sess.journal = sess.journal, None
+        if journal is not None:
+            try:
+                journal.close()
+            except OSError:
+                pass
 
     def _journal(self, sess: Session) -> Journal:
         journal = sess.journal
@@ -1247,58 +1030,48 @@ class SessionManager:
             if reg is not None:
                 reg.inc_all({"service.dedup.evictions": evicted})
 
-    def _op_insert(
-        self, sess: Session, name: str, size: int, idem: Optional[str] = None
+    def _op_write(
+        self,
+        sess: Session,
+        op: str,
+        name: str,
+        size: Optional[int],
+        idem: Optional[str],
     ) -> dict[str, Any]:
+        """Live ``insert``/``delete``: validate, then :meth:`_commit`."""
         sched = self._hydrated(sess)
         cached = self._dedup_lookup(sess, idem)
         if cached is not None:
             return cached
         if sess.degraded is not None:
             raise self._degraded_error(sess)
-        if name in sched:
-            raise ServiceError(
-                ErrorCode.DUPLICATE_JOB, f"job {name!r} already active"
-            )
-        try:
-            lsn = self._journal(sess).append("insert", name, size, idem=idem)
-        except OSError as e:
-            raise self._degrade(sess, e) from e
-        pj = sched.insert(name, size)
-        self._count_op(sess, "insert")
-        result = {
-            "lsn": lsn,
-            "placed": {
-                "name": name,
-                "size": size,
-                "klass": pj.klass,
-                "start": pj.start,
-                "server": pj.server,
-            },
-        }
-        self._dedup_store(sess, idem, result)
+        if op == "insert":
+            if name in sched:
+                raise ServiceError(
+                    ErrorCode.DUPLICATE_JOB, f"job {name!r} already active"
+                )
+        elif name not in sched:
+            raise ServiceError(ErrorCode.NO_SUCH_JOB, f"job {name!r} not active")
+        else:
+            size = sched.placement(name).size
+        assert size is not None
+        rec = self._journal(sess).next_record(op, name, size, idem)
+        result = self._commit(sess, sched, rec)
+        self._count_op(sess, op)
         return result
 
-    def _op_delete(
-        self, sess: Session, name: str, idem: Optional[str] = None
+    def _commit(
+        self, sess: Session, sched: SchedulerT, rec: JournalRecord
     ) -> dict[str, Any]:
-        sched = self._hydrated(sess)
-        cached = self._dedup_lookup(sess, idem)
-        if cached is not None:
-            return cached
-        if sess.degraded is not None:
-            raise self._degraded_error(sess)
-        if name not in sched:
-            raise ServiceError(ErrorCode.NO_SUCH_JOB, f"job {name!r} not active")
-        size = sched.placement(name).size
+        """Journal ``rec``, then apply it (write-ahead); a keyed answer
+        enters the dedup window.  Live writes and ``repl_apply`` share it.
+        """
         try:
-            lsn = self._journal(sess).append("delete", name, size, idem=idem)
+            self._journal(sess).append_record(rec)
         except OSError as e:
             raise self._degrade(sess, e) from e
-        sched.delete(name)
-        self._count_op(sess, "delete")
-        result = {"lsn": lsn, "size": size}
-        self._dedup_store(sess, idem, result)
+        result = apply_record(sched, rec)
+        self._dedup_store(sess, rec.idem, result)
         return result
 
     def _op_query(
@@ -1341,14 +1114,6 @@ class SessionManager:
             )
         return out
 
-    def _snapshot_doc(self, sess: Session, sched: SchedulerT) -> dict[str, Any]:
-        """Scheduler snapshot plus the dedup-window sidecar."""
-        doc = take_snapshot(sched)
-        entries = sess.dedup.entries()
-        if entries:
-            doc["service_dedup"] = [[k, v] for k, v in entries]
-        return doc
-
     def _op_snapshot(self, sess: Session) -> dict[str, Any]:
         sched = self._hydrated(sess)
         if sess.degraded is not None:
@@ -1361,8 +1126,9 @@ class SessionManager:
                 "active": len(sched),
                 "recovered": True,
             }
+        doc = SessionImage(sched, sess.dedup.entries()).encode()
         try:
-            lsn = self._journal(sess).checkpoint(self._snapshot_doc(sess, sched))
+            lsn = self._journal(sess).checkpoint(doc)
         except OSError as e:
             raise self._degrade(sess, e) from e
         self._count_op(sess, "snapshot")
@@ -1378,7 +1144,6 @@ class SessionManager:
                 plan.hit("sessions.evict")
             except OSError as e:
                 raise self._degrade(sess, e) from e
-        reg = self.registry
         if sess.degraded is not None:
             # Read-only: no checkpoint is possible, but the write-ahead
             # discipline means every acknowledged op is already in the
@@ -1386,30 +1151,82 @@ class SessionManager:
             # nothing -- the next touch replays it.
             sess.scheduler = None
             sess.journal = None
-            if reg is not None:
-                reg.inc_all({"service.evictions": 1})
-            return {"evicted": True, "degraded": True}
+            res: dict[str, Any] = {"evicted": True, "degraded": True}
+        else:
+            res = {"evicted": True, "lsn": self._checkpoint_drop(sess, sched)[0]}
+        reg = self.registry
+        if reg is not None:
+            reg.inc_all({"service.evictions": 1})
+        return res
+
+    def _checkpoint_drop(
+        self, sess: Session, sched: SchedulerT
+    ) -> tuple[int, dict[str, Any]]:
+        """Checkpoint the session's image, close its journal and drop it
+        from memory (eviction and ``migrate_out``); returns the covered
+        LSN and the image doc."""
+        doc = SessionImage(sched, sess.dedup.entries()).encode()
         journal = self._journal(sess)
         try:
-            lsn = journal.checkpoint(self._snapshot_doc(sess, sched))
+            lsn = journal.checkpoint(doc)
             journal.close()
         except OSError as e:
             raise self._degrade(sess, e) from e
         sess.scheduler = None
         sess.journal = None
-        if reg is not None:
-            reg.inc_all({"service.evictions": 1})
-        return {"evicted": True, "lsn": lsn}
+        return lsn, doc
+
+    def _install(self, sess: Session, image: SessionImage) -> int:
+        """Make ``image`` the session's state as the first checkpoint of
+        a fresh journal handle (``migrate_in``, ``repl_install``, the
+        degraded heal); returns the covered LSN.  An image with an LSN
+        floor replaces the on-disk journal and continues the primary's
+        numbering; without one the local numbering continues.  A disk
+        failure raises ``OSError``; the caller decides what it means.
+        """
+        self._close_journal(sess)
+        if image.sched is not sess.scheduler:
+            # Until the checkpoint lands, neither the old scheduler nor
+            # the incoming one is the session's state.
+            sess.scheduler = None
+            sess.dedup.load(image.dedup)
+        if image.lsn is not None:
+            Journal.discard(sess.root)
+        journal = Journal(
+            sess.root,
+            fsync=self.fsync,
+            fsync_interval=self.fsync_interval,
+            registry=self.registry,
+        )
+        journal.advance_to(image.lsn or 0)
+        lsn = journal.checkpoint(
+            SessionImage(image.sched, sess.dedup.entries()).encode()
+        )
+        sess.scheduler = image.sched
+        sess.journal = journal
+        sess.degraded = None
+        sess.migrating = None
+        return lsn
+
+    @staticmethod
+    def _decode_image(snap: dict[str, Any]) -> SessionImage:
+        """An incoming transfer payload; a malformed one is BAD_REQUEST."""
+        try:
+            return SessionImage.decode(snap)
+        except (ServiceError, KeyError, TypeError, ValueError) as e:
+            raise ServiceError(
+                ErrorCode.BAD_REQUEST, f"snapshot rejected: {e}"
+            ) from e
 
     # -- live migration (docs/CLUSTER.md) ---------------------------------
 
     def _op_migrate_out(self, sess: Session) -> dict[str, Any]:
-        """Freeze the session and hand its full state to the caller.
+        """Freeze the session and hand its image to the caller.
 
-        Rides the eviction machinery: checkpoint (scheduler snapshot
-        *with* ledger totals plus the dedup-window sidecar), close the
+        Rides the eviction step: checkpoint the image (scheduler
+        snapshot *with* ledger totals plus the dedup window), close the
         journal, drop the scheduler.  The returned snapshot is exactly
-        what ``migrate_in`` restores on the target, so reallocation
+        what ``migrate_in`` installs on the target, so reallocation
         accounting and in-flight idempotent retries survive the move.
         The session then answers RETRY_LATER until sealed (or the hold
         expires -- the handoff failed and this shard resumes authority).
@@ -1420,17 +1237,9 @@ class SessionManager:
             # No durable checkpoint is possible; refuse the handoff
             # rather than ship state we cannot prove is on disk.
             raise self._degraded_error(sess)
-        doc = self._snapshot_doc(sess, sched)
         active = len(sched)
         volume = sched.total_volume()
-        journal = self._journal(sess)
-        try:
-            lsn = journal.checkpoint(doc)
-            journal.close()
-        except OSError as e:
-            raise self._degrade(sess, e) from e
-        sess.scheduler = None
-        sess.journal = None
+        lsn, doc = self._checkpoint_drop(sess, sched)
         sess.migrating = time.perf_counter()
         self._count_op(sess, "migrate_out")
         reg = self.registry
@@ -1445,74 +1254,27 @@ class SessionManager:
         }
 
     def _op_migrate_in(self, sess: Session, snap: dict[str, Any]) -> dict[str, Any]:
-        """Adopt a migrated session: restore the snapshot, persist it.
+        """Adopt a migrated session: install its image.
 
-        The snapshot replaces any local state (a stale pre-migration
-        copy, or nothing).  The dedup sidecar is installed before the
-        ack, so a client retry that raced the migration still gets its
-        original answer here instead of double-applying.  Idempotent:
+        The image replaces any local state (a stale pre-migration copy,
+        or nothing) and keeps this shard's LSN numbering.  Idempotent:
         re-adopting the same snapshot converges to the same state.
         """
-        entries: list[tuple[str, dict[str, Any]]] = []
-        for item in snap.pop("service_dedup", []):
-            if (
-                isinstance(item, list)
-                and len(item) == 2
-                and isinstance(item[0], str)
-                and isinstance(item[1], dict)
-            ):
-                entries.append((item[0], item[1]))
+        image = self._decode_image(snap)
         try:
-            sched = restore_snapshot(snap)
-        except ServiceError as e:
-            raise ServiceError(
-                ErrorCode.BAD_REQUEST, f"snapshot rejected: {e.message}"
-            ) from e
-        except (KeyError, TypeError, ValueError) as e:
-            raise ServiceError(
-                ErrorCode.BAD_REQUEST, f"snapshot rejected: {e}"
-            ) from e
-        old_journal = sess.journal
-        sess.scheduler = None
-        sess.journal = None
-        if old_journal is not None:
-            try:
-                old_journal.close()
-            except OSError:
-                pass
-        sess.dedup.clear()
-        for key, result in entries:
-            sess.dedup.put(key, result)
-        try:
-            journal = Journal(
-                sess.root,
-                fsync=self.fsync,
-                fsync_interval=self.fsync_interval,
-                registry=self.registry,
-            )
-            lsn = journal.checkpoint(self._snapshot_doc(sess, sched))
+            lsn = self._install(sess, image)
         except OSError as e:
             raise self._degrade(sess, e) from e
-        sess.scheduler = sched
-        sess.journal = journal
-        sess.degraded = None
-        sess.migrating = None
         self._count_op(sess, "migrate_in")
         reg = self.registry
         if reg is not None:
             reg.inc_all({"service.migrate.in": 1})
         self._maybe_evict(exclude=sess.sid)
-        return {"adopted": True, "lsn": lsn, "active": len(sched)}
+        return {"adopted": True, "lsn": lsn, "active": len(image.sched)}
 
     def _op_migrate_seal(self, sess: Session, target: str) -> dict[str, Any]:
-        journal = sess.journal
-        if journal is not None:
-            try:
-                journal.close()
-            except OSError:
-                pass
+        self._close_journal(sess)
         sess.scheduler = None
-        sess.journal = None
         sess.migrating = None
         self._write_tombstone(sess.root, target)
         self._count_op(sess, "migrate_seal")
@@ -1522,14 +1284,8 @@ class SessionManager:
         return {"sealed": True, "target": target}
 
     def _write_tombstone(self, sdir: str, target: str) -> None:
-        moved_path = os.path.join(sdir, _MOVED_FILE)
-        tmp = moved_path + ".tmp"
         try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump({"target": target}, fh)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, moved_path)
+            write_json_durable(os.path.join(sdir, _MOVED_FILE), {"target": target})
         except OSError as e:
             # Without a durable tombstone the seal did not happen; the
             # driver retries (both copies exist, the placement map still
@@ -1544,8 +1300,7 @@ class SessionManager:
 
     def _op_repl_snapshot(self, sess: Session) -> tuple[dict[str, Any], dict[str, Any]]:
         """Catch-up payload for a lagging or fresh replica: the live
-        snapshot doc (ledger totals + dedup sidecar + the ``service_lsn``
-        it covers) and the session config.
+        image with the LSN it covers, and the session config.
 
         Called by the replicator from inside this session's worker turn
         -- the worker is blocked awaiting the ship, so nothing can
@@ -1553,8 +1308,8 @@ class SessionManager:
         """
         sched = sess.scheduler
         assert sched is not None, "ship runs only after a hydrated op"
-        doc = self._snapshot_doc(sess, sched)
-        doc["service_lsn"] = self._journal(sess).last_lsn
+        lsn = self._journal(sess).last_lsn
+        doc = SessionImage(sched, sess.dedup.entries(), lsn).encode()
         return doc, sess.config.to_dict()
 
     def _op_repl_apply(self, sess: Session, lines: list[str]) -> dict[str, Any]:
@@ -1567,9 +1322,9 @@ class SessionManager:
         carries ``need`` and the primary falls back to the snapshot
         install path.  Each adopted record is appended byte-identically
         (CRC and all) *before* it is applied -- the same write-ahead
-        discipline as the primary -- and keyed records rebuild the same
-        dedup entries recovery would, so a promoted replica answers
-        retried ops exactly like the dead primary would have.
+        :meth:`_commit` as the primary's own writes -- so a promoted
+        replica answers retried ops exactly like the dead primary would
+        have.
         """
         sched = self._hydrated(sess)
         if sess.degraded is not None:
@@ -1596,40 +1351,14 @@ class SessionManager:
                     "need": journal.last_lsn + 1,
                 }
             try:
-                journal.append_record(rec)
-            except OSError as e:
-                raise self._degrade(sess, e) from e
-            try:
-                if rec.op == "insert":
-                    pj = sched.insert(rec.name, rec.size)
-                    if rec.idem is not None:
-                        self._dedup_store(
-                            sess,
-                            rec.idem,
-                            {
-                                "lsn": rec.lsn,
-                                "placed": {
-                                    "name": rec.name,
-                                    "size": rec.size,
-                                    "klass": pj.klass,
-                                    "start": pj.start,
-                                    "server": pj.server,
-                                },
-                            },
-                        )
-                elif rec.op == "delete":
-                    sched.delete(rec.name)
-                    if rec.idem is not None:
-                        self._dedup_store(
-                            sess, rec.idem, {"lsn": rec.lsn, "size": rec.size}
-                        )
-                else:
-                    raise ServiceError(
-                        ErrorCode.BAD_REQUEST,
-                        f"unknown replicated op {rec.op!r} at LSN {rec.lsn}",
-                    )
+                self._commit(sess, sched, rec)
             except KeyError:
                 log.warning("repl_apply: op at LSN %d does not apply", rec.lsn)
+            except JournalCorrupt as e:
+                raise ServiceError(
+                    ErrorCode.BAD_REQUEST,
+                    f"unknown replicated op {rec.op!r} at LSN {rec.lsn}",
+                ) from e
             applied += 1
         self._count_op(sess, "repl_apply")
         reg = self.registry
@@ -1642,78 +1371,22 @@ class SessionManager:
         return {"applied": applied, "lsn": journal.last_lsn}
 
     def _op_repl_install(self, sess: Session, snap: dict[str, Any]) -> dict[str, Any]:
-        """Seed or catch up this replica from a full primary snapshot.
-
-        ``_op_migrate_in``'s restore discipline with two replica twists:
-        the journal adopts the *primary's* LSN (the ``service_lsn``
-        sidecar) so subsequently shipped records extend it verbatim, and
-        pre-existing local segments/snapshots are dropped first -- the
-        incoming state supersedes a stale or diverged copy wholesale.
-        """
-        lsn_floor = snap.pop("service_lsn", 0)
-        if type(lsn_floor) is not int or lsn_floor < 0:
-            raise ServiceError(
-                ErrorCode.BAD_REQUEST,
-                "install snapshot lacks a valid service_lsn",
-            )
-        entries: list[tuple[str, dict[str, Any]]] = []
-        for item in snap.pop("service_dedup", []):
-            if (
-                isinstance(item, list)
-                and len(item) == 2
-                and isinstance(item[0], str)
-                and isinstance(item[1], dict)
-            ):
-                entries.append((item[0], item[1]))
+        """Seed or catch up this replica from the primary's image: the
+        local journal is replaced and adopts the primary's LSN floor (0
+        when the payload has none), so shipped records extend it verbatim."""
+        floor = lsn_floor(snap)
+        image = self._decode_image(snap)
+        image.lsn = floor
         try:
-            sched = restore_snapshot(snap)
-        except ServiceError as e:
-            raise ServiceError(
-                ErrorCode.BAD_REQUEST, f"snapshot rejected: {e.message}"
-            ) from e
-        except (KeyError, TypeError, ValueError) as e:
-            raise ServiceError(
-                ErrorCode.BAD_REQUEST, f"snapshot rejected: {e}"
-            ) from e
-        old_journal = sess.journal
-        sess.scheduler = None
-        sess.journal = None
-        if old_journal is not None:
-            try:
-                old_journal.close()
-            except OSError:
-                pass
-        sess.dedup.clear()
-        for key, result in entries:
-            sess.dedup.put(key, result)
-        try:
-            for name in os.listdir(sess.root):
-                if (
-                    name.startswith(_SEG_PREFIX) and name.endswith(_SEG_SUFFIX)
-                ) or (
-                    name.startswith(_SNAP_PREFIX) and name.endswith(_SNAP_SUFFIX)
-                ):
-                    os.unlink(os.path.join(sess.root, name))
-            journal = Journal(
-                sess.root,
-                fsync=self.fsync,
-                fsync_interval=self.fsync_interval,
-                registry=self.registry,
-            )
-            journal.advance_to(lsn_floor)
-            lsn = journal.checkpoint(self._snapshot_doc(sess, sched))
+            lsn = self._install(sess, image)
         except OSError as e:
             raise self._degrade(sess, e) from e
-        sess.scheduler = sched
-        sess.journal = journal
-        sess.degraded = None
-        sess.migrating = None
         self._count_op(sess, "repl_install")
         reg = self.registry
         if reg is not None:
             reg.inc_all({"service.repl.installs": 1})
         self._maybe_evict(exclude=sess.sid)
-        return {"installed": True, "lsn": lsn, "active": len(sched)}
+        return {"installed": True, "lsn": lsn, "active": len(image.sched)}
 
     # -- degraded mode -----------------------------------------------------
 
@@ -1738,13 +1411,7 @@ class SessionManager:
         """
         if sess.degraded is None:
             sess.degraded = f"{type(exc).__name__}: {exc}"
-            journal = sess.journal
-            sess.journal = None
-            if journal is not None:
-                try:
-                    journal.close()
-                except OSError:
-                    pass
+            self._close_journal(sess)
             log.error(
                 "session %s: journal failure, entering degraded "
                 "(read-only) mode: %s",
@@ -1763,7 +1430,8 @@ class SessionManager:
         return self._degraded_error(sess)
 
     def _op_restore(self, sess: Session) -> dict[str, Any]:
-        """Leave degraded mode: reopen the journal and checkpoint into it.
+        """Leave degraded mode: re-install the in-memory image into a
+        fresh journal handle (:meth:`_install`).
 
         The checkpoint persists the full in-memory state (scheduler +
         dedup window), so nothing depends on the dead journal's tail.
@@ -1777,28 +1445,14 @@ class SessionManager:
             # next touch rehydrates and clears the flag.
             sess.degraded = None
             return {"recovered": True, "rehydrate": True}
-        journal: Optional[Journal] = None
         try:
-            journal = Journal(
-                sess.root,
-                fsync=self.fsync,
-                fsync_interval=self.fsync_interval,
-                registry=self.registry,
-            )
-            lsn = journal.checkpoint(self._snapshot_doc(sess, sched))
+            lsn = self._install(sess, SessionImage(sched, sess.dedup.entries()))
         except OSError as e:
-            if journal is not None:
-                try:
-                    journal.close()
-                except OSError:
-                    pass
             raise ServiceError(
                 ErrorCode.DEGRADED,
                 f"session {sess.sid!r} still degraded: {e}",
                 retry_after=self.recover_backoff,
             ) from e
-        sess.journal = journal
-        sess.degraded = None
         reg = self.registry
         if reg is not None:
             reg.inc_all({"service.degraded.recovered": 1})
@@ -1827,70 +1481,3 @@ class SessionManager:
             except ServiceError:
                 pass  # still failing; back off and try again
             delay = min(delay * 2.0, self.recover_backoff_max)
-
-
-# ---------------------------------------------------------------------------
-# Offline journal replay (``repro report --journal``)
-
-
-def replay_journal_dir(
-    root: str, *, registry: Optional[MetricsRegistry] = None
-) -> tuple[MetricsRegistry, list[dict[str, Any]]]:
-    """Rebuild every session under ``root`` with instrumentation attached.
-
-    ``root`` may be a single session directory (holding ``config.json``)
-    or a server data directory (holding one subdirectory per session).
-    Returns the registry the replay populated -- the same counters a
-    live, instrumented, uninterrupted run would have produced, which is
-    what lets journal replays feed the PR-1 trace-validation tooling.
-
-    Tombstoned directories (``moved.json`` present: the session migrated
-    away, or is mid-migration toward another shard) are not replayable
-    here -- their authoritative state lives on the target.  They are
-    surfaced as ``{"session": ..., "skipped_moved": True, "moved_to":
-    ...}`` rows instead of aborting the whole report.
-    """
-    reg = registry if registry is not None else MetricsRegistry()
-    if os.path.isfile(os.path.join(root, _CONFIG_FILE)):
-        found = [(os.path.basename(os.path.abspath(root)), root)]
-    else:
-        found = [
-            (name, os.path.join(root, name))
-            for name in sorted(os.listdir(root))
-            if os.path.isfile(os.path.join(root, name, _CONFIG_FILE))
-        ]
-    skipped = [
-        (sid, sdir)
-        for sid, sdir in found
-        if os.path.isfile(os.path.join(sdir, _MOVED_FILE))
-    ]
-    found = [pair for pair in found if pair not in skipped]
-    if not found and not skipped:
-        raise ValueError(f"no service sessions under {root!r}")
-    infos: list[dict[str, Any]] = []
-    for sid, sdir in skipped:
-        infos.append(
-            {
-                "session": sid,
-                "skipped_moved": True,
-                "moved_to": SessionManager._moved_target(sdir),
-            }
-        )
-    for sid, sdir in found:
-        with open(os.path.join(sdir, _CONFIG_FILE), encoding="utf-8") as fh:
-            cfg = SessionConfig.from_mapping(json.load(fh))
-        sched, journal, info = recover_scheduler(
-            sdir, cfg, registry=reg, attach_obs=True
-        )
-        info.pop("_dedup_entries", None)
-        journal.close()
-        infos.append(
-            {
-                "session": sid,
-                "active": len(sched),
-                "objective": sched.sum_completion_times(),
-                "config": cfg.to_dict(),
-                **info,
-            }
-        )
-    return reg, infos

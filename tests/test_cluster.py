@@ -11,6 +11,7 @@ real in-process servers.
 import asyncio
 import json
 import os
+import time
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro.cluster.rebalance import (
     plan_rebalance,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.service.client import RetryPolicy
 from repro.service.protocol import (
     ErrorCode,
     Request,
@@ -400,6 +402,38 @@ def test_async_cluster_client_routes_and_pipelines(tmp_path):
         assert snap["counters"]["cluster.ops"] >= len(sids) * 7
         for srv in servers:
             await srv.stop()
+
+    run(main())
+
+
+def test_async_cluster_client_timeout_is_a_whole_call_budget(tmp_path):
+    """A frozen session answers RETRY_LATER with a 1 s hint; under a
+    4-attempt policy and ``timeout=0.2`` the call must give up within
+    its budget instead of sleeping the hint three times."""
+
+    async def main():
+        m = SessionManager(
+            str(tmp_path / "shard-0"), fsync="never", retry_after_hint=1.0
+        )
+        srv = ServiceServer(m, port=0)
+        await srv.start()
+        spec = ShardSpec(
+            name="shard-0", host="127.0.0.1", port=srv.tcp_port,
+            data=str(tmp_path / "shard-0"),
+        )
+        async with AsyncClusterClient(
+            [spec], retry=RetryPolicy(attempts=4)
+        ) as cc:
+            await cc.call("open", session="s")
+            await cc.call("migrate_out", session="s")
+            t0 = time.monotonic()
+            with pytest.raises(ServiceError) as ei:
+                await cc.call("query", session="s", timeout=0.2)
+            elapsed = time.monotonic() - t0
+        assert ei.value.code is ErrorCode.RETRY_LATER
+        assert elapsed < 0.5
+        await srv.stop()
+        await m.shutdown()
 
     run(main())
 

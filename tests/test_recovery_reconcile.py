@@ -35,7 +35,7 @@ from repro.service.protocol import (
     ServiceError,
     SessionConfig,
 )
-from repro.service.sessions import build_scheduler
+from repro.service.image import build_scheduler
 
 MAX_SIZE = 16
 NAMES = ("shard-0", "shard-1")

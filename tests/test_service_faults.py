@@ -28,11 +28,8 @@ from repro.service.protocol import (
     SessionConfig,
 )
 from repro.service.server import ServiceServer
-from repro.service.sessions import (
-    DedupWindow,
-    SessionManager,
-    build_scheduler,
-)
+from repro.service.image import DedupWindow, build_scheduler
+from repro.service.sessions import SessionManager
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 REPO = os.path.dirname(HERE)

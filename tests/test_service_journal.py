@@ -296,3 +296,73 @@ def test_snapshot_is_canonical_json(tmp_path):
     text = open(path, encoding="utf-8").read()
     assert json.loads(text) == {"b": 1, "a": {"z": 0, "y": 1}}
     assert text.index('"a"') < text.index('"b"')  # sort_keys on disk
+
+
+# ----------------------------------------------------------------------
+# Durable marker writes: the rename itself must reach the directory
+
+
+def _spy_durability(monkeypatch):
+    """Record ``("replace", dst)`` and ``("fsync_dir", path)`` in order."""
+    events = []
+    dir_fds = {}
+    real_open, real_fsync, real_replace = os.open, os.fsync, os.replace
+
+    def spy_open(path, flags, *args, **kw):
+        fd = real_open(path, flags, *args, **kw)
+        if os.path.isdir(path):
+            dir_fds[fd] = os.path.abspath(path)
+        return fd
+
+    def spy_fsync(fd):
+        if fd in dir_fds:
+            events.append(("fsync_dir", dir_fds.pop(fd)))
+        return real_fsync(fd)
+
+    def spy_replace(src, dst, *args, **kw):
+        events.append(("replace", os.path.abspath(dst)))
+        return real_replace(src, dst, *args, **kw)
+
+    monkeypatch.setattr(os, "open", spy_open)
+    monkeypatch.setattr(os, "fsync", spy_fsync)
+    monkeypatch.setattr(os, "replace", spy_replace)
+    return events
+
+
+def _dir_fsynced_after_rename(events, path):
+    path = os.path.abspath(path)
+    idx = events.index(("replace", path))
+    return ("fsync_dir", os.path.dirname(path)) in events[idx + 1:]
+
+
+def test_seal_tombstone_fsyncs_its_directory(tmp_path, monkeypatch):
+    import asyncio
+
+    from repro.service.protocol import Request
+    from repro.service.sessions import SessionManager
+
+    async def main():
+        m = SessionManager(str(tmp_path), fsync="never")
+        await m.dispatch(Request(op="open", session="s"))
+        await m.dispatch(Request(op="migrate_out", session="s"))
+        events = _spy_durability(monkeypatch)
+        await m.dispatch(Request(op="migrate_seal", session="s", target="b"))
+        monkeypatch.undo()
+        await m.shutdown()
+        return events
+
+    events = asyncio.run(main())
+    assert _dir_fsynced_after_rename(events, tmp_path / "s" / "moved.json")
+
+
+def test_failover_fence_fsyncs_its_directory(tmp_path, monkeypatch):
+    from repro.cluster.group import ShardGroup
+
+    group = ShardGroup(str(tmp_path / "cluster"), shards=1)
+    data = tmp_path / "cluster" / "shard-0"
+    events = _spy_durability(monkeypatch)
+    group._write_fence(str(data), 2, "shard-0r1")
+    monkeypatch.undo()
+    assert _dir_fsynced_after_rename(events, data / "fence.json")
+    with open(data / "fence.json", encoding="utf-8") as fh:
+        assert json.load(fh) == {"epoch": 2, "promoted": "shard-0r1"}

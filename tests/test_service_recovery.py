@@ -21,7 +21,7 @@ import pytest
 
 from repro.service.client import ServiceClient
 from repro.service.protocol import SessionConfig
-from repro.service.sessions import build_scheduler
+from repro.service.image import build_scheduler
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 REPO = os.path.dirname(HERE)

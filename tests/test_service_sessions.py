@@ -7,7 +7,8 @@ import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.service.protocol import ErrorCode, Request, ServiceError
-from repro.service.sessions import SessionManager, replay_journal_dir
+from repro.service.image import replay_journal_dir
+from repro.service.sessions import SessionManager
 
 
 def run(coro):
