@@ -1,20 +1,31 @@
 #!/usr/bin/env python
 """Profile the hot paths (HPC workflow: measure before optimizing).
 
-Usage: python scripts/profile_hotpaths.py [scheduler|kcursor|pma] [--metrics]
+Usage: python scripts/profile_hotpaths.py [scheduler|kcursor|pma|service] [--metrics]
 
 With ``--metrics`` the run is also instrumented through the obs layer
 (:mod:`repro.obs`): machine-model counters (``kcursor.*`` / ``sched.*`` /
 ``pma.*``) plus a ``profile.<target>.seconds`` timer are printed in the
 same snapshot format as ``repro report``, so profiling and benching share
 one output format.
+
+``service`` measures the request path instead: an in-process
+``ServiceServer`` (``fsync=never``, a metrics registry as ``repro serve``
+has) driven by an ``AsyncClusterClient`` over loopback TCP, doing
+insert/delete round trips on 1 and then 8 sessions with one request in
+flight each, after a warm-up.  It prints cProfile's total function calls
+per op (client and server share the one event loop, so both count): a
+deterministic work number that, unlike wall-clock time, does not move
+with the machine or its load.
 """
 
+import asyncio
 import cProfile
 import io
 import pstats
 import random
 import sys
+import tempfile
 
 
 def profile_scheduler():
@@ -57,6 +68,49 @@ def profile_pma():
     return run, pma
 
 
+def profile_service() -> None:
+    from repro.cluster.client import AsyncClusterClient
+    from repro.cluster.group import ShardSpec
+    from repro.obs import MetricsRegistry
+    from repro.service import ServiceServer, SessionManager
+
+    sessions = [f"s{i}" for i in range(8)]
+    warmup, ops = 200, 2000
+
+    async def main(root: str) -> None:
+        manager = SessionManager(root, fsync="never", registry=MetricsRegistry())
+        srv = ServiceServer(manager, port=0)
+        await srv.start()
+        spec = ShardSpec(name="shard-0", host="127.0.0.1", port=srv.tcp_port, data=root)
+        try:
+            async with AsyncClusterClient([spec]) as cc:
+                for sid in sessions:
+                    await cc.call("open", session=sid, config={"max_size": 16})
+
+                async def lane(sid: str, n: int) -> None:
+                    for k in range(n // 2):
+                        await cc.call("insert", session=sid, name=f"j{k}", size=1 + k % 16)
+                        await cc.call("delete", session=sid, name=f"j{k}")
+
+                for inflight in (1, 8):
+                    lanes = sessions[:inflight]
+                    await asyncio.gather(*(lane(sid, warmup) for sid in lanes))
+                    per_lane = ops // inflight
+                    pr = cProfile.Profile()
+                    pr.enable()
+                    await asyncio.gather(*(lane(sid, per_lane) for sid in lanes))
+                    pr.disable()
+                    calls = pstats.Stats(pr).total_calls
+                    done = per_lane // 2 * 2 * inflight
+                    print(f"service: {inflight} in flight: {calls / done:.1f} calls/op "
+                          f"({done} ops)")
+        finally:
+            await srv.stop()
+
+    with tempfile.TemporaryDirectory() as root:
+        asyncio.run(main(root))
+
+
 TARGETS = {
     "scheduler": profile_scheduler,
     "kcursor": profile_kcursor,
@@ -68,6 +122,9 @@ def main() -> int:
     args = [a for a in sys.argv[1:] if not a.startswith("--")]
     with_metrics = "--metrics" in sys.argv[1:]
     which = args[0] if args else "scheduler"
+    if which == "service":
+        profile_service()
+        return 0
     run, target = TARGETS[which]()
 
     registry = attachment = None

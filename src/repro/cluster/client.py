@@ -11,11 +11,14 @@ go to the first shard; ``*_all`` helpers broadcast.
 
 :class:`ClusterClient` is synchronous -- one in-flight op, the tool for
 scripts, tests and the CLI.  :class:`AsyncClusterClient` is pipelined:
-every shard connection multiplexes many in-flight requests matched by
-wire id, so one client instance drives concurrent ops across (and
-within) shards; per-session ordering still holds because requests to
-one shard are written in call order and the server executes each
-session's ops through its serial queue.
+per shard it holds one pipelined
+:class:`~repro.service.client.AsyncServiceClient`, whose connection
+carries many in-flight requests matched by wire id, so one client
+instance drives concurrent ops across (and within) shards.  The shard
+admits each request into its session's queue in arrival order and runs
+different sessions' queues concurrently: per-session order holds
+(requests to one shard are written in call order) and sessions never
+wait for each other on the shared connection.
 
 Tracing: the cluster layer owns the trace id.  One ``cluster.call``
 span covers the whole logical op; every hop carries the same ``tid`` in
@@ -34,6 +37,7 @@ from repro.cluster.placement import PlacementMap
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.service.client import (
+    AsyncServiceClient,
     RetryPolicy,
     ServiceClient,
     _CallMixin,
@@ -41,15 +45,7 @@ from repro.service.client import (
     next_idem,
     next_trace_id,
 )
-from repro.service.protocol import (
-    IDEMPOTENT_OPS,
-    MAX_LINE_BYTES,
-    ErrorCode,
-    ServiceError,
-    decode_line,
-    encode,
-    result_from_response,
-)
+from repro.service.protocol import IDEMPOTENT_OPS, ErrorCode, ServiceError
 
 
 class _ClusterBase(_CallMixin):
@@ -315,114 +311,18 @@ class ClusterClient(_ClusterBase):
         self.close()
 
 
-class _ShardPipe:
-    """One pipelined connection: many in-flight requests, matched by id.
-
-    The reader task resolves each response line to the future whose
-    wire id it echoes; a transport failure fails every pending future
-    with ``ConnectionError`` and marks the pipe dead (the owner builds
-    a fresh one).
-    """
-
-    def __init__(self, spec: ShardSpec) -> None:
-        self.spec = spec
-        self.dead = False
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._pump_task: Optional["asyncio.Task[None]"] = None
-        self._pending: dict[int, "asyncio.Future[dict[str, Any]]"] = {}
-        self._next_id = 0
-
-    async def connect(self) -> None:
-        self._reader, self._writer = await asyncio.open_connection(
-            self.spec.host, self.spec.port, limit=MAX_LINE_BYTES
-        )
-        self._pump_task = asyncio.get_running_loop().create_task(self._pump())
-
-    async def request(
-        self, doc: dict[str, Any], timeout: Optional[float]
-    ) -> dict[str, Any]:
-        writer = self._writer
-        if writer is None or self.dead:
-            raise ConnectionError("shard pipe is down")
-        self._next_id += 1
-        rid = self._next_id
-        fut: "asyncio.Future[dict[str, Any]]" = (
-            asyncio.get_running_loop().create_future()
-        )
-        self._pending[rid] = fut
-        writer.write(encode({**doc, "id": rid}))
-        try:
-            await writer.drain()
-            if timeout is not None:
-                return await asyncio.wait_for(fut, timeout)
-            return await fut
-        except (asyncio.TimeoutError, TimeoutError) as e:
-            self._pending.pop(rid, None)
-            # The op may never answer (hung shard, half-open partition):
-            # the whole pipe is suspect, tear it down so every caller
-            # fails fast onto a fresh connection.
-            await self.close()
-            raise ConnectionError("request timed out") from e
-
-    async def _pump(self) -> None:
-        reader = self._reader
-        assert reader is not None
-        try:
-            while True:
-                raw = await reader.readline()
-                if not raw:
-                    break
-                doc = decode_line(raw.decode("utf-8"))
-                rid = doc.get("id")
-                fut = (
-                    self._pending.pop(rid, None)
-                    if isinstance(rid, int)
-                    else None
-                )
-                if fut is not None and not fut.done():
-                    fut.set_result(doc)
-        except (OSError, ValueError, ServiceError, asyncio.LimitOverrunError):
-            pass
-        finally:
-            self.dead = True
-            err = ConnectionError("shard connection lost")
-            for fut in self._pending.values():
-                if not fut.done():
-                    fut.set_exception(err)
-            self._pending.clear()
-
-    async def close(self) -> None:
-        self.dead = True
-        task = self._pump_task
-        self._pump_task = None
-        writer = self._writer
-        self._writer = None
-        self._reader = None
-        if writer is not None:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-        if task is not None:
-            task.cancel()
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
-
-
 class AsyncClusterClient(_ClusterBase):
     """Pipelined asyncio cluster client: concurrent in-flight ops.
 
-    Unlike :class:`~repro.service.client.AsyncServiceClient` (one
-    request in flight per instance), many tasks can share one
-    ``AsyncClusterClient``: each shard connection pipelines requests
-    and matches responses by id, so ops on different sessions -- and
-    even on the same session -- overlap on the wire.  Per-session
-    *execution* order is the order requests reach the shard, which for
-    one client is call order.
+    Many tasks can share one ``AsyncClusterClient``.  Per shard it holds
+    one pipelined :class:`~repro.service.client.AsyncServiceClient`
+    (answers matched by wire id), so ops on different sessions -- and
+    even on the same session -- overlap on the wire, and the server runs
+    different sessions' ops concurrently.  Per-session *execution* order
+    is the order requests reach the shard, which for one client is call
+    order.  This layer adds routing, MOVED-following, failover probing
+    and the retry loop; each attempt is one
+    :meth:`~repro.service.client.AsyncServiceClient.call_once`.
     """
 
     def __init__(
@@ -431,21 +331,21 @@ class AsyncClusterClient(_ClusterBase):
         **kwargs: Any,
     ) -> None:
         super().__init__(shards, **kwargs)
-        self._pipes: dict[str, _ShardPipe] = {}
+        self._pipes: dict[str, AsyncServiceClient] = {}
         self._locks: dict[str, asyncio.Lock] = {
             name: asyncio.Lock() for name in self._specs
         }
 
-    async def _pipe(self, shard: str) -> _ShardPipe:
+    async def _pipe(self, shard: str) -> AsyncServiceClient:
         pipe = self._pipes.get(shard)
-        if pipe is not None and not pipe.dead:
+        if pipe is not None and pipe.connected:
             return pipe
         async with self._locks[shard]:
             pipe = self._pipes.get(shard)
-            if pipe is not None and not pipe.dead:
+            if pipe is not None and pipe.connected:
                 return pipe
             spec = self._spec(shard)
-            pipe = _ShardPipe(spec)
+            pipe = AsyncServiceClient(spec.host, spec.port, auto_idem=False)
             await pipe.connect()
             self._pipes[shard] = pipe
             return pipe
@@ -494,9 +394,9 @@ class AsyncClusterClient(_ClusterBase):
         root: int,
     ) -> dict[str, Any]:
         shard = self._route(session)
-        wire: dict[str, Any] = {"op": op, **fields}
+        wire = fields
         if tracer is not None:
-            wire["trace"] = {"tid": tid, "span": root}
+            wire = {**fields, "trace": {"tid": tid, "span": root}}
         delays = self.retry.schedule() if self.retry is not None else []
         step = 0
         hops = 0
@@ -508,8 +408,7 @@ class AsyncClusterClient(_ClusterBase):
             self._count_op()
             try:
                 pipe = await self._pipe(shard)
-                doc = await pipe.request(wire, per_call_timeout)
-                return result_from_response(doc)
+                return await pipe.call_once(op, wire, per_call_timeout)
             except ServiceError as e:
                 target = self._follow(e, session, hops, tid)
                 if target is not None:
@@ -563,9 +462,7 @@ class AsyncClusterClient(_ClusterBase):
         for rname in self._replicas_of(shard):
             try:
                 pipe = await self._pipe(rname)
-                doc = result_from_response(
-                    await pipe.request({"op": "health"}, self.timeout)
-                )
+                doc = await pipe.call_once("health", {}, self.timeout)
             except (ServiceError, OSError, EOFError, ConnectionError):
                 await self._drop_pipe(rname)
                 continue
@@ -580,8 +477,7 @@ class AsyncClusterClient(_ClusterBase):
         out: dict[str, dict[str, Any]] = {}
         for name in self.placement.shards:
             pipe = await self._pipe(name)
-            doc = await pipe.request({"op": "health"}, self.timeout)
-            out[name] = result_from_response(doc)
+            out[name] = await pipe.call_once("health", {}, self.timeout)
         return out
 
     async def close(self) -> None:

@@ -124,7 +124,7 @@ class ProjectIndex:
         self.spec_points: list[Site] = []
         #: Metric emissions in src/ (normalized names, see metric_name_of).
         self.metric_emits: list[Site] = []
-        #: ``op == "..."`` comparisons inside dispatch()/_respond().
+        #: ``op == "..."`` comparisons inside dispatch()/admit()/_respond().
         self.dispatch_arms: list[Site] = []
         #: ``self.call("op", ...)`` sites in the client library.
         self.client_ops: list[Site] = []
@@ -200,18 +200,20 @@ class ProjectIndex:
                         )
 
     def _scan_dispatch(self, ctx: "RuleContext") -> None:
-        """Collect the op arms of ``dispatch()`` / ``_respond()``.
+        """Collect the op arms of ``dispatch()`` / ``admit()`` /
+        ``_respond()``.
 
         The protocol surface is deliberately split: ``SessionManager.
-        dispatch`` owns every session-shaped op, while the server's
-        ``_respond`` intercepts ``shutdown`` before dispatch (it must
-        work even when the manager refuses new work).  Both count as
-        arms.
+        admit`` owns the per-session queue ops a connection pipelines,
+        ``SessionManager.dispatch`` every other session-shaped op, and
+        the server's ``_respond`` intercepts ``shutdown`` before dispatch
+        (it must work even when the manager refuses new work).  All
+        three count as arms.
         """
         for fn in ast.walk(ctx.tree):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            if fn.name not in ("dispatch", "_respond"):
+            if fn.name not in ("dispatch", "admit", "_respond"):
                 continue
             for sub in walk_shallow(fn):
                 if (

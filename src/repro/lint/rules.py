@@ -1093,7 +1093,8 @@ class RL010CrossArtifact(Rule):
                     yield self.violation(
                         proto_ctx, proto_stmt,
                         f"protocol op `{op}` has no dispatch arm "
-                        f"(SessionManager.dispatch / server._respond)",
+                        f"(SessionManager.dispatch / SessionManager.admit "
+                        f"/ server._respond)",
                     )
         if any(m in index.by_module for m in CLIENT_MODULES):
             for op in ops:

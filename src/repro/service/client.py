@@ -518,11 +518,14 @@ class ServiceClient(_CallMixin):
 
 
 class AsyncServiceClient(_CallMixin):
-    """Asyncio client; one in-flight request at a time per instance.
+    """Pipelined asyncio client: any number of in-flight requests.
 
-    The internal lock serializes ``call`` so concurrent tasks sharing a
-    client cannot interleave their request/response pairs.  For true
-    concurrency (the load generator), use one client per task.
+    Many tasks may share one instance.  Each request gets a fresh wire
+    id and its answer is matched by that id, so requests on different
+    sessions overlap on the one connection while each session's
+    requests still reach the server in call order.  A request that
+    times out tears the connection down (its framing is ambiguous),
+    failing every other request in flight on it.
     """
 
     def __init__(
@@ -545,53 +548,122 @@ class AsyncServiceClient(_CallMixin):
         self.tracer = tracer
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
-        self._lock = asyncio.Lock()
+        self._pump: Optional["asyncio.Task[None]"] = None
+        #: Connected, and neither torn down nor lost since.
+        self.connected = False
+        #: Wire id -> the future its answer resolves.
+        self._pending: dict[int, "asyncio.Future[dict[str, Any]]"] = {}
         self._next_id = 0
         self.retries = 0
         self.reconnects = 0
 
     async def connect(self) -> "AsyncServiceClient":
         if self.unix_path is not None:
-            self._reader, self._writer = await asyncio.open_unix_connection(
+            reader, writer = await asyncio.open_unix_connection(
                 self.unix_path, limit=MAX_LINE_BYTES
             )
         else:
             assert self.port is not None
-            self._reader, self._writer = await asyncio.open_connection(
+            reader, writer = await asyncio.open_connection(
                 self.host, self.port, limit=MAX_LINE_BYTES
             )
+        if self._writer is not None:
+            # Another task reconnected while we awaited; keep theirs.
+            writer.close()
+            return self
+        self._reader, self._writer = reader, writer
+        self.connected = True
+        self._pump = asyncio.get_running_loop().create_task(
+            self._read_answers(reader)
+        )
         return self
 
-    async def _teardown(self) -> None:
-        writer = self._writer
+    async def _read_answers(self, reader: asyncio.StreamReader) -> None:
+        """Resolve each answer line to the request whose wire id it
+        echoes; once the connection ends, fail every request still in
+        flight with ``ConnectionError``."""
+        pending = self._pending
+        try:
+            while True:
+                raw = await reader.readline()
+                if not raw:
+                    break
+                doc = decode_line(raw.decode("utf-8"))
+                rid = doc.get("id")
+                fut = pending.pop(rid, None) if type(rid) is int else None
+                if fut is not None and not fut.done():
+                    fut.set_result(doc)
+        except (OSError, ValueError, ServiceError, asyncio.LimitOverrunError):
+            pass
+        finally:
+            if self._reader is reader:
+                self.connected = False
+                self._fail_pending(ConnectionError("server closed the connection"))
+
+    def _fail_pending(self, err: Exception) -> None:
+        pending = self._pending
+        for fut in pending.values():
+            if not fut.done():
+                fut.set_exception(err)
+        pending.clear()
+
+    async def _teardown(
+        self, writer: Optional[asyncio.StreamWriter] = None
+    ) -> None:
+        """Close the connection -- only if it is still ``writer``'s,
+        when given: a stale failure must not kill a fresh reconnect."""
+        if writer is not None and writer is not self._writer:
+            return
+        writer, pump = self._writer, self._pump
         self._reader = self._writer = None
+        self._pump = None
+        self.connected = False
+        self._fail_pending(ConnectionError("connection torn down"))
         if writer is not None:
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
+        if pump is not None:
+            pump.cancel()
+            try:
+                await pump
+            except asyncio.CancelledError:
+                pass
 
-    async def _call_once(
+    async def call_once(
         self, op: str, fields: dict[str, Any], timeout: Optional[float]
     ) -> dict[str, Any]:
-        reader, writer = self._reader, self._writer
-        if reader is None or writer is None:
+        """One attempt: send ``op`` under a fresh wire id and await the
+        answer echoing it.  No retry, no reconnect.
+
+        An error answer raises :class:`ServiceError` (INTERNAL when the
+        client was never connected); a lost connection raises
+        ``ConnectionError``, and so does a timeout, after tearing the
+        connection down.
+        """
+        writer = self._writer
+        if writer is None:
             raise ServiceError(ErrorCode.INTERNAL, "client is not connected")
-        async with self._lock:
-            self._next_id += 1
-            req_id = self._next_id
-            writer.write(encode({"op": op, "id": req_id, **fields}))
-            if timeout is not None:
-                await asyncio.wait_for(writer.drain(), timeout)
-                raw = await asyncio.wait_for(reader.readline(), timeout)
-            else:
-                await writer.drain()
-                raw = await reader.readline()
-        if not raw:
+        if not self.connected:
             raise ConnectionError("server closed the connection")
-        doc = decode_line(raw.decode("utf-8"))
-        _check_id(req_id, doc)
+        self._next_id += 1
+        rid = self._next_id
+        fut: "asyncio.Future[dict[str, Any]]" = (
+            asyncio.get_running_loop().create_future()
+        )
+        self._pending[rid] = fut
+        writer.write(encode({"op": op, "id": rid, **fields}))
+        try:
+            if writer.transport.get_write_buffer_size():
+                # The socket did not take the whole line: wait for room.
+                await asyncio.wait_for(writer.drain(), timeout)
+            doc = await asyncio.wait_for(fut, timeout)
+        except (asyncio.TimeoutError, TimeoutError) as e:
+            self._pending.pop(rid, None)
+            await self._teardown(writer)
+            raise ConnectionError("request timed out") from e
         return result_from_response(doc)
 
     async def call(
@@ -642,13 +714,15 @@ class AsyncServiceClient(_CallMixin):
                     {"op": op, "parent": root, "trace": tid, "attempt": attempt},
                 )
                 afields = {**fields, "trace": {"tid": tid, "span": aspan}}
+            conn = self._writer
             try:
-                if self._reader is None and self.retry is not None and step > 0:
+                if conn is None and self.retry is not None and step > 0:
                     self.reconnects += 1
                     if tracer is not None:
                         tracer.event("client.reconnect", {"trace": tid})
                     await self.connect()
-                result = await self._call_once(op, afields, timeout)
+                    conn = self._writer
+                result = await self.call_once(op, afields, timeout)
             except ServiceError as e:
                 if tracer is not None and aspan is not None:
                     tracer.close_span(
@@ -674,15 +748,15 @@ class AsyncServiceClient(_CallMixin):
                     )
                 await asyncio.sleep(wait)
             except (OSError, EOFError) as e:
-                # Includes TimeoutError from wait_for: after a timeout
-                # the stream framing is unknown, so always tear down.
+                # A lost connection or a timeout: the connection is
+                # gone (call_once tore a timed-out one down already).
                 if tracer is not None and aspan is not None:
                     tracer.close_span(
                         aspan, "client.attempt",
                         {"trace": tid, "outcome": "transport",
                          "error": f"{type(e).__name__}: {e}"},
                     )
-                await self._teardown()
+                await self._teardown(conn)
                 if self.retry is None or step >= len(delays):
                     raise ServiceError(
                         ErrorCode.INTERNAL, f"connection failed: {e}"

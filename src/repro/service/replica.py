@@ -15,7 +15,10 @@ built from two ops of the wire protocol (docs/CLUSTER.md):
 The :class:`Replicator` lives on the primary and is driven from inside
 each session's worker turn (:meth:`SessionManager._worker` awaits
 :meth:`ship` after the op is applied and journaled locally), so per-
-session ship order always equals journal order.  Two ack modes:
+session ship order always equals journal order.  Each replica link is
+one pipelined :class:`~repro.service.client.AsyncServiceClient`: the
+ships of different sessions are in flight on it at once.  Two ack
+modes:
 
 * ``quorum`` -- :meth:`ship` resolves only once the record is durable
   on a majority of the ``1 + N`` copies (the primary counts as one), so
@@ -295,8 +298,10 @@ class Replicator:
             self.installs += 1
             return link.shipped[sid] >= lsn
         except (ServiceError, ConnectionDropped, OSError, EOFError) as e:
-            await link.drop()
+            # Back off before the await: other sessions' ships share
+            # this link and must not reconnect while it is torn down.
             link.down_until = time.monotonic() + _BACKOFF
+            await link.drop()
             log.warning(
                 "replica %s: ship of %s@%d failed: %s", link.name, sid, lsn, e
             )
@@ -333,9 +338,9 @@ class Replicator:
                 else:
                     link.shipped[sid] = int(reply["lsn"])
             except (ServiceError, ConnectionDropped, OSError, EOFError) as e:
-                await link.drop()
                 link.behind.add(sid)
                 link.down_until = time.monotonic() + _BACKOFF
+                await link.drop()
                 log.warning(
                     "replica %s: async ship of %s@%d failed: %s",
                     link.name, sid, lsn, e,

@@ -49,7 +49,7 @@ import json
 import os
 import re
 import time
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional, Union
 
 from repro import faults
 
@@ -124,13 +124,41 @@ _FENCED_OPS = frozenset(
     }
 )
 
+#: The per-session queue ops.  :meth:`SessionManager.admit` puts them on
+#: their session's queue synchronously, in arrival order, so a client may
+#: pipeline them; every other op runs through :meth:`SessionManager.
+#: dispatch` and is a barrier on its connection (docs/SERVICE.md).
+QUEUE_OPS = frozenset(
+    {"insert", "delete", "query", "snapshot", "migrate_out", "repl_apply"}
+)
+
+#: Receives an op's outcome -- its result, or the :class:`ServiceError`
+#: it failed with -- from the session worker once the op and its
+#: replication ship are done.
+Reply = Callable[[Union[dict[str, Any], ServiceError]], None]
+
 _QueueItem = Optional[
-    tuple[
-        Callable[[], dict[str, Any]],
-        "asyncio.Future[dict[str, Any]]",
-        Optional[OpTrace],
-    ]
+    tuple[Callable[[], dict[str, Any]], Reply, Optional[OpTrace]]
 ]
+
+
+def _resolver(fut: "asyncio.Future[dict[str, Any]]") -> Reply:
+    """A :data:`Reply` that settles ``fut`` (the awaitable paths)."""
+
+    def reply(outcome: Union[dict[str, Any], ServiceError]) -> None:
+        if fut.done():  # the awaiting caller was cancelled
+            return
+        if isinstance(outcome, ServiceError):
+            fut.set_exception(outcome)
+        else:
+            fut.set_result(outcome)
+
+    return reply
+
+
+def _discard(outcome: Union[dict[str, Any], ServiceError]) -> None:
+    """The :data:`Reply` of background evictions: nobody awaits them,
+    and a failed checkpoint already flipped the session degraded."""
 
 
 class Session:
@@ -280,17 +308,21 @@ class SessionManager:
     async def dispatch(
         self, req: Request, ot: Optional[OpTrace] = None
     ) -> dict[str, Any]:
-        """Execute one validated request; raises :class:`ServiceError`."""
+        """Execute one validated request; raises :class:`ServiceError`.
+
+        The awaitable form of the protocol surface: a per-session queue
+        op goes through :meth:`admit` and this awaits the worker's
+        reply; every other op runs here, to completion.
+        """
         op = req.op
+        if op in QUEUE_OPS:
+            fut: "asyncio.Future[dict[str, Any]]" = (
+                asyncio.get_running_loop().create_future()
+            )
+            self.admit(req, _resolver(fut), ot)
+            return await fut
         if op in _FENCED_OPS:
-            if self.replica_of is not None:
-                raise ServiceError(
-                    ErrorCode.MOVED,
-                    f"shard is a replica of {self.replica_of!r}; "
-                    f"write to the primary",
-                    moved=self.replica_of,
-                )
-            self._check_fence()
+            self._check_authority()
         if op == "ping":
             return {"pong": True}
         if op == "health":
@@ -321,36 +353,47 @@ class SessionManager:
         if op == "migrate_seal":
             assert req.target is not None
             return await self.migrate_seal(req.session, req.target, ot=ot)
+        raise ServiceError(ErrorCode.UNKNOWN_OP, f"unhandled op {op!r}")
+
+    def admit(
+        self, req: Request, reply: Reply, ot: Optional[OpTrace] = None
+    ) -> None:
+        """Put one per-session queue op (:data:`QUEUE_OPS`) on its
+        session's queue, synchronously and in arrival order.
+
+        A refused op raises :class:`ServiceError` here and ``reply`` is
+        never called; an admitted one gets exactly one ``reply`` from
+        the session worker, with the result or the error, as soon as
+        the op and its replication ship are done.
+        """
+        op = req.op
+        if op in _FENCED_OPS:
+            self._check_authority()
+        assert req.session is not None
+        fn: Callable[[], dict[str, Any]]
         if op == "repl_apply":
-            assert req.records is not None
+            records = req.records
+            assert records is not None
             # No create: a fresh replica session must be seeded by
             # repl_install (which carries the primary's config), so the
             # NOT_FOUND here steers the primary onto the install path.
             sess = self._attach(req.session, req.config, create=False)[0]
-            records = req.records
-            return await self._enqueue(
-                sess, lambda: self._op_repl_apply(sess, records), ot=ot
-            )
-        sess = self._attach(req.session, None, create=False)[0]
-        if op == "migrate_out":
-            return await self._enqueue(
-                sess, lambda: self._op_migrate_out(sess), ot=ot
-            )
-        if op == "insert" or op == "delete":
-            assert req.name is not None
-            name, size, idem = req.name, req.size, req.idem
-            return await self._enqueue(
-                sess, lambda: self._op_write(sess, op, name, size, idem), ot=ot
-            )
-        if op == "query":
-            return await self._enqueue(
-                sess, lambda: self._op_query(sess, req.name, req.jobs), ot=ot
-            )
-        if op == "snapshot":
-            return await self._enqueue(
-                sess, lambda: self._op_snapshot(sess), ot=ot
-            )
-        raise ServiceError(ErrorCode.UNKNOWN_OP, f"unhandled op {op!r}")
+            fn = lambda: self._op_repl_apply(sess, records)
+        else:
+            sess = self._attach(req.session, None, create=False)[0]
+            if op == "insert" or op == "delete":
+                assert req.name is not None
+                name, size, idem = req.name, req.size, req.idem
+                fn = lambda: self._op_write(sess, op, name, size, idem)
+            elif op == "query":
+                fn = lambda: self._op_query(sess, req.name, req.jobs)
+            elif op == "snapshot":
+                fn = lambda: self._op_snapshot(sess)
+            elif op == "migrate_out":
+                fn = lambda: self._op_migrate_out(sess)
+            else:
+                raise ServiceError(ErrorCode.UNKNOWN_OP, f"unhandled op {op!r}")
+        self._put(sess, fn, reply, ot)
 
     async def open(
         self,
@@ -465,8 +508,11 @@ class SessionManager:
         except OSError:
             pass
 
-    def _check_fence(self) -> None:
-        """Refuse mutations once a newer epoch has fenced this shard.
+    def _check_authority(self) -> None:
+        """Refuse a client-facing mutation (:data:`_FENCED_OPS`) unless
+        this shard is the authority: MOVED toward the primary on a
+        replica, and toward the winner once a newer epoch has fenced
+        this shard.
 
         The failover driver writes ``fence.json`` (promotion winner +
         new epoch) into a dead primary's data dir before promoting;
@@ -474,6 +520,13 @@ class SessionManager:
         dead -- every write from its stale epoch answers MOVED toward
         the promoted shard instead of diverging the session.
         """
+        if self.replica_of is not None:
+            raise ServiceError(
+                ErrorCode.MOVED,
+                f"shard is a replica of {self.replica_of!r}; "
+                f"write to the primary",
+                moved=self.replica_of,
+            )
         fence = self._fence
         if fence is None:
             fence = self._read_marker(_FENCE_FILE)
@@ -735,39 +788,57 @@ class SessionManager:
         force: bool = False,
         ot: Optional[OpTrace] = None,
     ) -> dict[str, Any]:
-        if self._shutting_down and not force:
-            raise ServiceError(ErrorCode.SHUTTING_DOWN, "server is shutting down")
-        if not force:
-            plan = faults.ACTIVE
-            if plan is not None:
-                try:
-                    plan.hit("sessions.admit")
-                except OSError as e:
-                    self._shed(sess, ot)
-                    raise ServiceError(
-                        ErrorCode.RETRY_LATER,
-                        f"admission refused for session {sess.sid!r}: {e}",
-                        retry_after=self.retry_after_hint,
-                    ) from e
+        """Run ``fn`` on the session's queue and await its outcome.
+
+        ``force`` (shutdown, the recovery sweep) waits for queue room
+        instead of shedding and bypasses the shutdown gate.
+        """
         fut: "asyncio.Future[dict[str, Any]]" = (
             asyncio.get_running_loop().create_future()
         )
-        if ot is not None:
-            ot.enqueued()
         if force:
-            await sess.queue.put((fn, fut, ot))
+            if ot is not None:
+                ot.enqueued()
+            await sess.queue.put((fn, _resolver(fut), ot))
         else:
+            self._put(sess, fn, _resolver(fut), ot)
+        return await fut
+
+    def _put(
+        self,
+        sess: Session,
+        fn: Callable[[], dict[str, Any]],
+        reply: Reply,
+        ot: Optional[OpTrace],
+    ) -> None:
+        """Admission: queue ``fn`` for the session worker without
+        waiting, or refuse (shutting down, injected ``sessions.admit``
+        fault, full queue -> RETRY_LATER with the advisory delay)."""
+        if self._shutting_down:
+            raise ServiceError(ErrorCode.SHUTTING_DOWN, "server is shutting down")
+        plan = faults.ACTIVE
+        if plan is not None:
             try:
-                sess.queue.put_nowait((fn, fut, ot))
-            except asyncio.QueueFull:
+                plan.hit("sessions.admit")
+            except OSError as e:
                 self._shed(sess, ot)
                 raise ServiceError(
                     ErrorCode.RETRY_LATER,
-                    f"session {sess.sid!r} queue is full "
-                    f"({self.queue_depth} pending ops); retry later",
+                    f"admission refused for session {sess.sid!r}: {e}",
                     retry_after=self.retry_after_hint,
-                ) from None
-        return await fut
+                ) from e
+        if ot is not None:
+            ot.enqueued()
+        try:
+            sess.queue.put_nowait((fn, reply, ot))
+        except asyncio.QueueFull:
+            self._shed(sess, ot)
+            raise ServiceError(
+                ErrorCode.RETRY_LATER,
+                f"session {sess.sid!r} queue is full "
+                f"({self.queue_depth} pending ops); retry later",
+                retry_after=self.retry_after_hint,
+            ) from None
 
     def _shed(self, sess: Session, ot: Optional[OpTrace] = None) -> None:
         reg = self.registry
@@ -779,38 +850,35 @@ class SessionManager:
             )
 
     async def _worker(self, sess: Session) -> None:
+        queue = sess.queue
         while True:
-            item = await sess.queue.get()
+            item = await queue.get()
             try:
                 if item is None:
                     return
-                fn, fut, ot = item
+                fn, reply, ot = item
                 self._clock += 1
                 sess.touched = self._clock
                 if ot is not None:
                     ot.dequeued()
                 tracing.CURRENT = ot
-                t_x = time.perf_counter()
+                outcome: Union[dict[str, Any], ServiceError]
                 try:
-                    res = fn()
+                    outcome = fn()
                 except ServiceError as e:
-                    if not fut.cancelled():
-                        fut.set_exception(e)
+                    outcome = e
                 except Exception as e:  # internal bug: report, keep serving
                     log.exception("session %s: internal error", sess.sid)
-                    if not fut.cancelled():
-                        fut.set_exception(
-                            ServiceError(
-                                ErrorCode.INTERNAL, f"{type(e).__name__}: {e}"
-                            )
-                        )
+                    outcome = ServiceError(
+                        ErrorCode.INTERNAL, f"{type(e).__name__}: {e}"
+                    )
                 else:
                     # Replication ship point: the op is applied and
-                    # journaled locally; under quorum ack mode the
-                    # future must not resolve until the record is
-                    # quorum-durable.  Runs inside this worker turn, so
-                    # per-session ship order equals journal order.
-                    ship_err: Optional[ServiceError] = None
+                    # journaled locally; under quorum ack mode it must
+                    # not be answered until the record is quorum-durable.
+                    # The worker awaits its own ship, so per-session
+                    # ship order equals journal order while other
+                    # sessions' ships share the replica link.
                     repl = self.replicator
                     journal = sess.journal
                     if (
@@ -827,7 +895,7 @@ class SessionManager:
                                 lambda: self._op_repl_snapshot(sess),
                             )
                         except ServiceError as e:
-                            ship_err = e
+                            outcome = e
                         except Exception as e:  # a ship bug must not
                             # wedge the session worker: fail this op,
                             # keep the queue draining.
@@ -835,21 +903,20 @@ class SessionManager:
                                 "session %s: replication ship failed",
                                 sess.sid,
                             )
-                            ship_err = ServiceError(
+                            outcome = ServiceError(
                                 ErrorCode.INTERNAL,
                                 f"replication: {type(e).__name__}: {e}",
                             )
-                    if not fut.cancelled():
-                        if ship_err is not None:
-                            fut.set_exception(ship_err)
-                        else:
-                            fut.set_result(res)
                 finally:
                     tracing.CURRENT = None
-                    if ot is not None:
-                        ot.executed(time.perf_counter() - t_x)
+                if ot is not None:
+                    ot.executed()
+                try:
+                    reply(outcome)
+                except Exception:  # an answer path must not kill the worker
+                    log.exception("session %s: reply failed", sess.sid)
             finally:
-                sess.queue.task_done()
+                queue.task_done()
 
     async def _stop_session(self, sess: Session) -> None:
         sweeper = sess.sweeper
@@ -968,17 +1035,8 @@ class SessionManager:
         candidates.sort(key=lambda s: s.touched)
         for victim in candidates[:excess]:
             try:
-                fut: "asyncio.Future[dict[str, Any]]" = (
-                    asyncio.get_running_loop().create_future()
-                )
-                # Background eviction: retrieve the outcome so a failed
-                # checkpoint (-> degraded) never surfaces as an
-                # unhandled future exception.
-                fut.add_done_callback(
-                    lambda f: None if f.cancelled() else f.exception()
-                )
                 victim.queue.put_nowait(
-                    (lambda v=victim: self._op_evict(v), fut, None)
+                    (lambda v=victim: self._op_evict(v), _discard, None)
                 )
             except asyncio.QueueFull:
                 continue  # busy session: not LRU for long; retry later

@@ -28,7 +28,9 @@ from typing import Any, Mapping, Optional, Sequence
 __all__ = ["render_top"]
 
 #: Display order for the latency section (anything else follows, sorted).
-_LATENCY_ORDER = ("queue_wait", "journal", "execute", "total")
+_LATENCY_ORDER = (
+    "dispatch", "queue_wait", "journal", "execute", "handoff", "total"
+)
 
 #: Counter display names: strip the ``service.`` prefix for width.
 _COUNTER_PREFIX = "service."

@@ -3,17 +3,23 @@
 One :class:`OpTrace` accompanies each traced request from parse to
 reply.  It owns two jobs:
 
-* **Latency decomposition.**  Four exact-percentile series in the
+* **Latency decomposition.**  Six exact-percentile series in the
   server's :class:`~repro.obs.metrics.MetricsRegistry`::
 
+      service.op.dispatch     request parse -> enqueue on the session queue
       service.op.queue_wait   enqueue -> dequeue in the session queue
       service.op.journal      journal append/checkpoint (incl. fsync)
-      service.op.execute      op execution minus the journal time
-      service.op.total        request parse -> response ready
+      service.op.execute      op execution (and its replication ship)
+                              minus the journal time
+      service.op.handoff      op done -> answer written to the connection
+      service.op.total        request parse -> answer written
 
-  ``queue_wait + journal + execute <= total`` by construction (the
-  remainder is dispatch/framing overhead), which is the invariant the
-  tracing tests pin.
+  For an op that ran on a session queue the first five sum to
+  ``total`` (they tile its timeline; the tracing tests pin it).
+  Answers go out in request order, so ``handoff`` includes the wait
+  behind earlier, slower requests on the same connection.  A barrier
+  op's clock starts once every earlier request on its connection is
+  answered.
 
 * **Span tree.**  With a tracer attached, the request becomes a
   detached ``server.op`` span carrying the client's trace id
@@ -25,11 +31,14 @@ reply.  It owns two jobs:
 
 The hand-off into synchronous depths (the journal does not take an
 ``OpTrace`` argument) rides the module global :data:`CURRENT`: the
-session worker sets it around the op function, which runs synchronously
-on one event loop with no awaits inside, so there is never more than
-one op executing per process at a time.  Every read of ``CURRENT`` (and
-of any ``tracer`` attribute) must sit behind an ``is not None`` guard --
-reprolint RL008 enforces the zero-overhead-when-disabled contract.
+session worker sets it around the op function and resets it once the
+op's replication ship is done.  The op function runs synchronously with
+no awaits inside, so while it runs ``CURRENT`` is its op and no other;
+but a worker awaiting its ship lets other sessions' workers run (and
+reset ``CURRENT``), so only code inside the op function may rely on it.
+Every read of ``CURRENT`` (and of any ``tracer`` attribute) must sit
+behind an ``is not None`` guard -- reprolint RL008 enforces the
+zero-overhead-when-disabled contract.
 """
 
 from __future__ import annotations
@@ -41,15 +50,18 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.service.protocol import TraceContext
 
-#: The four decomposition series (docs/OBSERVABILITY.md).
+#: The six decomposition series (docs/OBSERVABILITY.md).
+SERIES_DISPATCH = "service.op.dispatch"
 SERIES_QUEUE_WAIT = "service.op.queue_wait"
 SERIES_JOURNAL = "service.op.journal"
 SERIES_EXECUTE = "service.op.execute"
+SERIES_HANDOFF = "service.op.handoff"
 SERIES_TOTAL = "service.op.total"
 
 #: The op currently executing inside a session worker, if traced.
-#: Set/reset synchronously around the op function by
-#: :meth:`repro.service.sessions.SessionManager._worker`.
+#: Set before the op function and reset after its replication ship by
+#: :meth:`repro.service.sessions.SessionManager._worker` (see the module
+#: docstring for what that guarantees).
 CURRENT: Optional["OpTrace"] = None
 
 
@@ -57,8 +69,9 @@ class OpTrace:
     """Lifecycle recorder for one traced request (see module docstring).
 
     Constructed by the server front end after parsing; threaded through
-    ``dispatch`` into the session queue; consulted by the journal via
-    :data:`CURRENT`; finished exactly once on every reply path.
+    admission into the session queue; consulted by the journal via
+    :data:`CURRENT`; finished exactly once on every reply path, just
+    before the answer is written.
     """
 
     __slots__ = (
@@ -77,6 +90,7 @@ class OpTrace:
         "_t0",
         "_t_enq",
         "_t_deq",
+        "_t_done",
         "_t_j",
         "_jsid",
         "_jname",
@@ -106,6 +120,7 @@ class OpTrace:
         self._t0 = time.perf_counter()
         self._t_enq = 0.0
         self._t_deq = 0.0
+        self._t_done = 0.0
         self._t_j = 0.0
         self._jsid: Optional[int] = None
         self._jname = ""
@@ -130,9 +145,11 @@ class OpTrace:
         """The session worker picked the request up."""
         self._t_deq = time.perf_counter()
 
-    def executed(self, seconds: float) -> None:
-        """The op function ran for ``seconds`` (journal time included)."""
-        self.exec_s = seconds
+    def executed(self) -> None:
+        """The op function (and its replication ship) finished: the
+        answer is ready from now on."""
+        self._t_done = time.perf_counter()
+        self.exec_s = self._t_done - self._t_deq
 
     # -- journal hooks (called via CURRENT from repro.service.journal) ----
 
@@ -199,16 +216,23 @@ class OpTrace:
 
     def finish(self, *, ok: bool, code: Optional[str] = None) -> None:
         """Record the decomposition and close the ``server.op`` span."""
-        total = time.perf_counter() - self._t0
-        ran = self.queued and self._t_deq > 0.0
-        queue_wait = max(0.0, self._t_deq - self._t_enq) if ran else 0.0
-        execute = max(0.0, self.exec_s - self.journal_s) if ran else 0.0
+        t_end = time.perf_counter()
+        total = t_end - self._t0
+        ran = self.queued and self._t_done > 0.0
+        dispatch = queue_wait = execute = handoff = 0.0
+        if ran:
+            dispatch = self._t_enq - self._t0
+            queue_wait = self._t_deq - self._t_enq
+            execute = max(0.0, self.exec_s - self.journal_s)
+            handoff = t_end - self._t_done
         reg = self.registry
         if reg is not None:
             reg.series(SERIES_TOTAL).observe(total)
             if ran:
+                reg.series(SERIES_DISPATCH).observe(dispatch)
                 reg.series(SERIES_QUEUE_WAIT).observe(queue_wait)
                 reg.series(SERIES_EXECUTE).observe(execute)
+                reg.series(SERIES_HANDOFF).observe(handoff)
             if self.journal_s > 0.0:
                 reg.series(SERIES_JOURNAL).observe(self.journal_s)
         tr = self.tracer
@@ -225,8 +249,10 @@ class OpTrace:
                 if self.tid is not None:
                     payload["trace"] = self.tid
                 if ran:
+                    payload["dispatch"] = round(dispatch, 6)
                     payload["queue_wait"] = round(queue_wait, 6)
                     payload["execute"] = round(execute, 6)
+                    payload["handoff"] = round(handoff, 6)
                 if self.journal_s > 0.0:
                     payload["journal"] = round(self.journal_s, 6)
                 if self.fsync_s > 0.0:

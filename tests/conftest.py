@@ -1,7 +1,10 @@
-"""Shared test helpers: torture drivers and tiny-parameter fixtures."""
+"""Shared test helpers: torture drivers, tiny-parameter fixtures and a
+slow stub replica."""
 
 from __future__ import annotations
 
+import asyncio
+import json
 import random
 
 import pytest
@@ -56,3 +59,32 @@ def small_params():
 @pytest.fixture
 def rng():
     return random.Random(1234)
+
+
+async def start_slow_replica(delay: float) -> tuple[asyncio.AbstractServer, int]:
+    """A stub replica that acks every request ``delay`` seconds after it
+    arrives, each on its own timer: ``repl_apply`` answers durable up to
+    its last shipped LSN, anything else answers ok.  Returns the server
+    and its port."""
+
+    async def handle(reader, writer):
+        async def answer(doc):
+            await asyncio.sleep(delay)
+            result = {}
+            if doc.get("op") == "repl_apply":
+                lsn = json.loads(doc["records"][-1])["lsn"]
+                result = {"applied": len(doc["records"]), "lsn": lsn}
+            writer.write(
+                (json.dumps({"ok": True, "id": doc.get("id"), "result": result})
+                 + "\n").encode()
+            )
+
+        tasks = set()
+        while line := await reader.readline():
+            task = asyncio.ensure_future(answer(json.loads(line)))
+            tasks.add(task)
+            task.add_done_callback(tasks.discard)
+        writer.close()
+
+    server = await asyncio.start_server(handle, "127.0.0.1", 0)
+    return server, server.sockets[0].getsockname()[1]

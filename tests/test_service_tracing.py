@@ -25,10 +25,12 @@ from repro.service.protocol import (
     request_from_doc,
     request_to_doc,
 )
+from repro.service.replica import Replicator
 from repro.service.server import ServiceServer
 from repro.service.sessions import SessionManager
 from repro.service.top import render_top
 from repro.service.tracing import fault_observer
+from tests.conftest import start_slow_replica
 
 #: Independently rounded parts may exceed the rounded total by hairs.
 SLOP = 1e-4
@@ -118,6 +120,91 @@ def test_single_request_joined_span_tree(tmp_path):
     assert jspans[0].fields["parent"] == ins["server_span"]
     assert jspans[0].fields["lsn"] == 1
     assert jspans[0].trace == ins["trace"]
+
+
+PARTS = ("dispatch", "queue_wait", "journal", "execute", "handoff")
+
+
+def assert_parts_tile_total(span):
+    """dispatch + queue_wait + journal + execute + handoff == total."""
+    f = span.fields
+    parts = sum(f.get(k, 0.0) for k in PARTS)
+    assert abs(parts - f["total"]) <= SLOP, f
+
+
+def test_server_parts_sum_to_total(tmp_path):
+    async def drive(c, manager):
+        await c.open("s", {"max_size": 16})
+        for i in range(5):
+            await c.insert("s", f"j{i}", 2)
+        await c.delete("s", "j0")
+        await c.query("s", jobs=True)
+        await c.snapshot("s")
+        await c.stats()
+        return None
+
+    _, server_spans, reg, _ = traced_run(tmp_path, drive)
+    ops = [s for s in server_spans.values() if s.name == "server.op"]
+    queued = [s for s in ops if "dispatch" in s.fields]
+    # open/insert/delete/query/snapshot ran on the session queue; stats
+    # never touches one and records only its total.
+    assert [s.fields["op"] for s in queued] == (
+        ["open"] + ["insert"] * 5 + ["delete", "query", "snapshot"]
+    )
+    for span in queued:
+        assert_parts_tile_total(span)
+    stats = next(s for s in ops if s.fields["op"] == "stats")
+    assert not any(k in stats.fields for k in PARTS)
+    series = reg.snapshot()["series"]
+    for name in ("dispatch", "queue_wait", "execute", "handoff"):
+        assert series[f"service.op.{name}"]["count"] == len(queued), name
+    assert series["service.op.total"]["count"] == len(ops)
+
+
+def test_handoff_is_the_wait_behind_an_earlier_slower_answer(tmp_path):
+    """On one connection, a quorum-replicated insert whose replica acks
+    after 0.2 s, then a query on another session: the query finishes at
+    once but is answered in request order, so its time goes to handoff."""
+    delay = 0.2
+    sbuf = io.StringIO()
+
+    async def main():
+        stub, stub_port = await start_slow_replica(delay)
+        tracer = Tracer(sbuf, label="server")
+        manager = SessionManager(
+            str(tmp_path / "data"), fsync="never",
+            registry=MetricsRegistry(), tracer=tracer,
+        )
+        manager.set_replicator(
+            Replicator([("127.0.0.1", stub_port)], ack_mode="quorum")
+        )
+        srv = ServiceServer(manager, port=0)
+        await srv.start()
+        try:
+            async with AsyncServiceClient(port=srv.tcp_port) as c:
+                await c.open("slow")
+                await c.open("fast")
+                await asyncio.gather(
+                    c.insert("slow", "j0", 1), c.query("fast")
+                )
+        finally:
+            await srv.stop()
+            stub.close()
+            tracer.close()
+
+    run(main())
+    spans = spans_from(sbuf)
+    by_op = {
+        s.fields["op"]: s for s in spans.values()
+        if s.name == "server.op" and s.fields["op"] in ("insert", "query")
+    }
+    insert, query = by_op["insert"], by_op["query"]
+    assert insert.fields["execute"] >= delay * 0.75  # the replica ack
+    assert query.fields["execute"] < delay / 4
+    assert query.fields["handoff"] >= delay * 0.75
+    assert insert.fields["handoff"] < delay / 4
+    for span in (insert, query):
+        assert_parts_tile_total(span)
 
 
 def test_latency_series_and_stats_surface(tmp_path):
