@@ -19,8 +19,10 @@ schedulers of :mod:`repro.core` into a served system:
   transfer carries, the one journal-record -> answer rule, and crash
   recovery;
 * :mod:`repro.service.server`   -- asyncio TCP/UNIX-socket front end;
+* :mod:`repro.service.retry`    -- the one retry/redirect/failover
+  policy every client runs: seeded backoff and the pure ``CallPlan``;
 * :mod:`repro.service.client`   -- sync + async client library with
-  per-call timeouts, seeded-backoff retries and idempotency keys;
+  whole-call timeouts, reconnects, retries and idempotency keys;
 * :mod:`repro.service.loadgen`  -- closed-loop load generator backing
   ``benchmarks/results/BENCH_service.json``.
 
@@ -30,7 +32,7 @@ Layering: this package builds on ``repro.core``, ``repro.obs`` and
 docs/SERVICE.md; fault injection and retry semantics in docs/FAULTS.md.
 """
 
-from repro.service.client import AsyncServiceClient, RetryPolicy, ServiceClient
+from repro.service.client import AsyncServiceClient, ServiceClient
 from repro.service.image import recover_scheduler, replay_journal_dir
 from repro.service.journal import Journal, JournalCorrupt, JournalRecord
 from repro.service.loadgen import LoadgenOptions, run_loadgen, run_loadgen_sync
@@ -42,6 +44,7 @@ from repro.service.protocol import (
     ServiceError,
     SessionConfig,
 )
+from repro.service.retry import RetryPolicy
 from repro.service.server import ServiceServer
 from repro.service.sessions import SessionManager
 

@@ -9,23 +9,16 @@ Both speak the protocol of :mod:`repro.service.protocol`: one JSON line
 out, one JSON line back, ids echoed so replies can be paired with
 requests.  Errors come back as :class:`ServiceError` with the wire code.
 
-Resilience (docs/FAULTS.md):
-
-* **Per-call timeouts.**  Every ``call`` (and convenience method) takes
-  ``timeout=`` seconds; a hung server turns into a transport error
-  instead of blocking forever.  A timed-out connection is torn down --
-  its framing is ambiguous -- and rebuilt on the next attempt.
-* **Retries.**  Pass a :class:`RetryPolicy` to retry transport failures
-  (reconnecting first) and ``retry_later``/``degraded`` responses, with
-  bounded exponential backoff and *seeded* jitter -- the schedule is a
-  pure function of the policy, so tests and chaos runs are exactly
-  reproducible.  A server-supplied ``retry_after`` hint overrides the
-  local schedule for that step.
-* **Idempotency keys.**  Unless ``auto_idem=False``, every mutating op
-  (:data:`~repro.service.protocol.IDEMPOTENT_OPS`) is stamped with a
-  client-generated key, so a retry after an ambiguous failure (dropped
-  connection, timeout) is deduplicated server-side and can never
-  double-apply.
+Every retry decision is made by the pure
+:class:`~repro.service.retry.CallPlan`, the one policy the cluster
+clients (:mod:`repro.cluster.client`) run too; this module holds the
+two shells that run it -- one blocking, one asyncio -- around each
+client's one-attempt hook (docs/FAULTS.md, "Client resilience"):
+``timeout=`` bounds the whole call, an attempt whose connection is down
+reconnects first, ``close()`` is final, a :class:`RetryPolicy` retries
+lost connections and ``retry_later``/``degraded`` answers on a seeded
+schedule, and every mutating op is stamped with one idempotency key
+(unless ``auto_idem=False``) that rides all of its retries.
 
 Tracing (docs/OBSERVABILITY.md): pass ``tracer=`` and every ``call``
 becomes a ``client.call`` span with one ``client.attempt`` child per
@@ -40,13 +33,12 @@ test per call (reprolint RL008).
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import itertools
 import os
-import random
 import socket
 import time
-from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Awaitable, Callable, Mapping, Optional, Sequence
 
 from repro.obs.trace import Tracer
 from repro.service.protocol import (
@@ -58,6 +50,8 @@ from repro.service.protocol import (
     encode,
     result_from_response,
 )
+from repro.service.retry import CallPlan, Step
+from repro.service.retry import RetryPolicy as RetryPolicy  # re-exported
 
 #: Process-wide idempotency-key counter; combined with the PID the keys
 #: are unique across every client instance of this process, and across
@@ -67,18 +61,13 @@ from repro.service.protocol import (
 _IDEM_COUNTER = itertools.count(1)
 
 
-def _next_idem() -> str:
-    return f"c{os.getpid():x}-{next(_IDEM_COUNTER):x}"
-
-
 def next_idem() -> str:
     """A fresh idempotency key from the process-wide sequence.
 
-    Public for layers that stamp keys *before* choosing a connection
-    (the cluster client: one key must survive MOVED redirects and
-    cross-shard retries of the same logical op).
+    Stamped once per logical call, before its first attempt, so the
+    same key rides every retry and every hop of that call.
     """
-    return _next_idem()
+    return f"c{os.getpid():x}-{next(_IDEM_COUNTER):x}"
 
 
 #: Trace ids follow the same uniqueness scheme as idempotency keys: one
@@ -91,72 +80,11 @@ def next_trace_id() -> str:
     return f"t{os.getpid():x}-{next(_TRACE_COUNTER):x}"
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded exponential backoff with seeded jitter.
-
-    ``attempts`` counts *total* tries (first call + retries).  The delay
-    before retry ``k`` is ``min(base * factor**k, max_delay)`` scaled by
-    a jitter factor in ``[1 - jitter, 1 + jitter]`` drawn from
-    ``random.Random(seed)`` -- deterministic per policy value, so two
-    equal policies produce byte-identical schedules (reprolint RL003).
-    """
-
-    attempts: int = 4
-    base: float = 0.02
-    factor: float = 2.0
-    max_delay: float = 1.0
-    jitter: float = 0.25
-    seed: int = 0
-    #: Also retry ``degraded`` responses (the session heals in the
-    #: background); turn off to surface read-only mode immediately.
-    retry_degraded: bool = True
-
-    def __post_init__(self) -> None:
-        if self.attempts < 1:
-            raise ValueError("attempts must be >= 1")
-        if self.base < 0 or self.max_delay < 0 or self.factor < 1.0:
-            raise ValueError("base/max_delay must be >= 0 and factor >= 1")
-        if not (0.0 <= self.jitter < 1.0):
-            raise ValueError("jitter must be in [0, 1)")
-
-    def schedule(self) -> list[float]:
-        """The full backoff schedule: one delay per possible retry."""
-        rng = random.Random(self.seed)
-        out: list[float] = []
-        delay = self.base
-        for _ in range(self.attempts - 1):
-            scale = 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
-            out.append(min(delay, self.max_delay) * scale)
-            delay *= self.factor
-        return out
-
-    def retries_code(self, code: ErrorCode) -> bool:
-        if code is ErrorCode.RETRY_LATER:
-            return True
-        return code is ErrorCode.DEGRADED and self.retry_degraded
-
-
-def _retry_wait(policy_delay: float, err: ServiceError) -> float:
-    """Prefer the server's advisory delay over the local schedule."""
-    if err.retry_after is not None:
-        return float(err.retry_after)
-    return policy_delay
-
-
-def _check_id(sent: int, doc: dict[str, Any]) -> None:
-    got = doc.get("id")
-    if got != sent:
-        raise ServiceError(
-            ErrorCode.INTERNAL, f"response id {got!r} does not match request {sent}"
-        )
-
-
 class _CallMixin:
-    """The op-level convenience surface, shared by both clients.
+    """The op-level convenience surface, shared by every client.
 
     Subclasses implement ``call(op, *, timeout=None, **fields)``; for the
-    async client the returned value is awaitable, so these helpers stay
+    async clients the returned value is awaitable, so these helpers stay
     thin pass-throughs.  ``timeout`` bounds that one call end to end;
     ``idem`` overrides the auto-generated idempotency key.
     """
@@ -311,8 +239,227 @@ class _CallMixin:
         return self.call("shutdown", timeout=timeout)
 
 
-class ServiceClient(_CallMixin):
-    """Blocking client over TCP (``host``/``port``) or a UNIX socket."""
+class _CallTrace:
+    """One traced call: its root span (``client.call`` or
+    ``cluster.call``) and one ``client.attempt`` child per try.
+
+    Each attempt's span id goes on the wire, so every ``server.op`` an
+    attempt causes joins back to it; the trace id stays the same across
+    every retry and hop of the call.
+    """
+
+    __slots__ = ("sink", "name", "op", "tid", "root", "attempts", "span", "outcome")
+
+    def __init__(self, sink: Tracer, name: str, op: str, session: Any) -> None:
+        self.sink = sink
+        self.name = name
+        self.op = op
+        self.tid = next_trace_id()
+        payload: dict[str, Any] = {"op": op, "trace": self.tid}
+        if session is not None:
+            payload["session"] = session
+        self.root = sink.open_span(name, payload)
+        self.attempts = 0
+        self.span = 0
+        #: The last attempt's outcome: ``ok``, an error code or ``transport``.
+        self.outcome = "ok"
+
+    def stamp(self, fields: dict[str, Any]) -> dict[str, Any]:
+        """Open the next attempt's span; ``fields`` plus its wire stamp."""
+        self.attempts += 1
+        self.span = self.sink.open_span(
+            "client.attempt",
+            {"op": self.op, "parent": self.root, "trace": self.tid,
+             "attempt": self.attempts},
+        )
+        return {**fields, "trace": {"tid": self.tid, "span": self.span}}
+
+    def attempted(self, failure: Optional[BaseException]) -> None:
+        payload: dict[str, Any] = {"trace": self.tid}
+        if failure is None:
+            self.outcome = "ok"
+        elif isinstance(failure, ServiceError):
+            self.outcome = failure.code.value
+        else:
+            self.outcome = "transport"
+            payload["error"] = f"{type(failure).__name__}: {failure}"
+        payload["outcome"] = self.outcome
+        self.sink.close_span(self.span, "client.attempt", payload)
+
+    def event(self, name: str, payload: dict[str, Any]) -> None:
+        self.sink.event(name, {"trace": self.tid, **payload})
+
+    def retried(self, wait: float) -> None:
+        self.event("client.retry", {"error": self.outcome, "wait": round(wait, 6)})
+
+    def close(self, outcome: str) -> None:
+        self.sink.close_span(
+            self.root, self.name, {"trace": self.tid, "outcome": outcome}
+        )
+
+
+class _Shell(_CallMixin):
+    """What the blocking and asyncio shells share.
+
+    A shell stamps the idempotency key, opens the trace, makes the first
+    attempt and, from the first failure on, does what a
+    :class:`~repro.service.retry.CallPlan` says.  A client supplies the
+    hooks: ``_attempt(shard, op, fields, budget)`` (one try at a shard,
+    reconnecting if need be; a lost connection raises ``OSError``),
+    ``_is_primary(copy, budget)`` (the failover probe) and
+    ``_learn(plan, trace)`` (record a hop's new owner).  A direct
+    service client has one shard, ``""``, and never hops or probes.
+    """
+
+    tracer: Optional[Tracer]
+    retry: Optional[RetryPolicy]
+    auto_idem: bool
+    retries: int
+    _learn: Callable[[CallPlan, Optional[_CallTrace]], None]
+    #: The root span of a traced call.
+    _call_span = "client.call"
+    #: Hop limit and known shards -> copies (:class:`CallPlan`).
+    max_hops = 0
+    _copies: Mapping[str, Sequence[str]] = {}
+
+    def _route(self, fields: dict[str, Any]) -> str:
+        """The shard a call's first attempt goes to."""
+        return ""
+
+    def _plan(
+        self, shard: str, fields: dict[str, Any], timeout: Optional[float], start: float
+    ) -> CallPlan:
+        return CallPlan(
+            self.retry, timeout=timeout, start=start, shard=shard,
+            session=fields.get("session"), copies=self._copies,
+            max_hops=self.max_hops,
+        )
+
+
+class _SyncShell(_Shell):
+    """Runs the call plan with blocking I/O."""
+
+    _attempt: Callable[[str, str, dict[str, Any], Optional[float]], dict[str, Any]]
+    _is_primary: Callable[[str, Optional[float]], bool]
+
+    def call(
+        self, op: str, *, timeout: Optional[float] = None, **fields: Any
+    ) -> dict[str, Any]:
+        if self.auto_idem and op in IDEMPOTENT_OPS and "idem" not in fields:
+            fields = {**fields, "idem": next_idem()}
+        tracer = self.tracer
+        trace = (
+            None if tracer is None
+            else _CallTrace(tracer, self._call_span, op, fields.get("session"))
+        )
+        shard = self._route(fields)
+        start = time.monotonic() if timeout is not None else 0.0
+        budget = timeout
+        plan: Optional[CallPlan] = None
+        while True:
+            wire = fields if trace is None else trace.stamp(fields)
+            try:
+                result = self._attempt(shard, op, wire, budget)
+            except ServiceError as e:
+                failure: BaseException = e
+            except (OSError, EOFError) as e:
+                failure = e
+            else:
+                if trace is not None:
+                    trace.attempted(None)
+                    trace.close("ok")
+                return result
+            if trace is not None:
+                trace.attempted(failure)
+            if plan is None:
+                plan = self._plan(shard, fields, timeout, start)
+            step = plan.failed(failure, time.monotonic())
+            while step is Step.SLEEP or step is Step.PROBE:
+                if step is Step.SLEEP:
+                    self.retries += 1
+                    if trace is not None:
+                        trace.retried(plan.wait)
+                    time.sleep(plan.wait)
+                    step = plan.woke(time.monotonic())
+                else:
+                    primary = self._is_primary(plan.probe, plan.budget)
+                    step = plan.probed(primary, time.monotonic())
+            if plan.hop:
+                self._learn(plan, trace)
+            if step is Step.RAISE:
+                if trace is not None:
+                    trace.close(plan.error.code.value)
+                raise plan.error
+            shard, budget = plan.shard, plan.budget
+
+
+class _AsyncShell(_Shell):
+    """Runs the call plan on an asyncio event loop (the twin of
+    :class:`_SyncShell`, line for line)."""
+
+    _attempt: Callable[
+        [str, str, dict[str, Any], Optional[float]], Awaitable[dict[str, Any]]
+    ]
+    _is_primary: Callable[[str, Optional[float]], Awaitable[bool]]
+
+    async def call(
+        self, op: str, *, timeout: Optional[float] = None, **fields: Any
+    ) -> dict[str, Any]:
+        if self.auto_idem and op in IDEMPOTENT_OPS and "idem" not in fields:
+            fields = {**fields, "idem": next_idem()}
+        tracer = self.tracer
+        trace = (
+            None if tracer is None
+            else _CallTrace(tracer, self._call_span, op, fields.get("session"))
+        )
+        shard = self._route(fields)
+        start = time.monotonic() if timeout is not None else 0.0
+        budget = timeout
+        plan: Optional[CallPlan] = None
+        while True:
+            wire = fields if trace is None else trace.stamp(fields)
+            try:
+                result = await self._attempt(shard, op, wire, budget)
+            except ServiceError as e:
+                failure: BaseException = e
+            except (OSError, EOFError) as e:
+                failure = e
+            else:
+                if trace is not None:
+                    trace.attempted(None)
+                    trace.close("ok")
+                return result
+            if trace is not None:
+                trace.attempted(failure)
+            if plan is None:
+                plan = self._plan(shard, fields, timeout, start)
+            step = plan.failed(failure, time.monotonic())
+            while step is Step.SLEEP or step is Step.PROBE:
+                if step is Step.SLEEP:
+                    self.retries += 1
+                    if trace is not None:
+                        trace.retried(plan.wait)
+                    await asyncio.sleep(plan.wait)
+                    step = plan.woke(time.monotonic())
+                else:
+                    primary = await self._is_primary(plan.probe, plan.budget)
+                    step = plan.probed(primary, time.monotonic())
+            if plan.hop:
+                self._learn(plan, trace)
+            if step is Step.RAISE:
+                if trace is not None:
+                    trace.close(plan.error.code.value)
+                raise plan.error
+            shard, budget = plan.shard, plan.budget
+
+
+class ServiceClient(_SyncShell):
+    """Blocking client over TCP (``host``/``port``) or a UNIX socket.
+
+    ``timeout`` is the socket timeout of any attempt whose call gives no
+    ``timeout=`` of its own.  ``reconnects`` counts the connections
+    calls rebuilt; ``retries`` the backoff sleeps.
+    """
 
     def __init__(
         self,
@@ -336,178 +483,80 @@ class ServiceClient(_CallMixin):
         self.tracer = tracer
         self._sock: Optional[socket.socket] = None
         self._fh: Optional[Any] = None
+        self._closed = False
         self._next_id = 0
         self.retries = 0
         self.reconnects = 0
-        self._connect()
+        self._connect(timeout)
 
-    def _connect(self) -> None:
+    def _connect(self, timeout: float) -> tuple[Any, socket.socket]:
         if self.unix_path is not None:
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.settimeout(self.timeout)
-            sock.connect(self.unix_path)
+            try:
+                sock.settimeout(timeout)
+                sock.connect(self.unix_path)
+            except OSError:
+                sock.close()
+                raise
         else:
             assert self.port is not None
-            sock = socket.create_connection(
-                (self.host, self.port), timeout=self.timeout
-            )
-        self._sock = sock
-        self._fh = sock.makefile("rwb")
+            sock = socket.create_connection((self.host, self.port), timeout=timeout)
+        fh = sock.makefile("rwb")
+        self._sock, self._fh = sock, fh
+        return fh, sock
 
     def _teardown(self) -> None:
         fh, sock = self._fh, self._sock
         self._fh = self._sock = None
-        try:
-            if fh is not None:
-                fh.close()
-        except OSError:
-            pass
-        try:
-            if sock is not None:
-                sock.close()
-        except OSError:
-            pass
+        for part in (fh, sock):
+            if part is not None:
+                with contextlib.suppress(OSError):
+                    part.close()
 
-    def _call_once(
-        self, op: str, fields: dict[str, Any], timeout: Optional[float]
+    def _attempt(
+        self, shard: str, op: str, fields: dict[str, Any], budget: Optional[float]
     ) -> dict[str, Any]:
+        """One try, reconnecting first if the connection is down.
+
+        An error answer raises :class:`ServiceError` (INTERNAL once the
+        client is closed); a lost, refused or timed-out connection
+        raises ``OSError`` after tearing the connection down.
+        """
         fh, sock = self._fh, self._sock
-        assert fh is not None and sock is not None
+        if fh is None or sock is None:
+            if self._closed:
+                raise ServiceError(ErrorCode.INTERNAL, "client is closed")
+            self.reconnects += 1
+            tracer = self.tracer
+            if tracer is not None and "trace" in fields:
+                tracer.event("client.reconnect", {"trace": fields["trace"]["tid"]})
+            fh, sock = self._connect(self.timeout if budget is None else budget)
         self._next_id += 1
         req_id = self._next_id
-        if timeout is not None:
-            sock.settimeout(timeout)
         try:
+            if budget is not None:
+                sock.settimeout(budget)
             fh.write(encode({"op": op, "id": req_id, **fields}))
             fh.flush()
             raw = fh.readline(MAX_LINE_BYTES + 1)
-        finally:
-            if timeout is not None:
+            if not raw:
+                raise ConnectionError("server closed the connection")
+            if budget is not None:
                 sock.settimeout(self.timeout)
-        if not raw:
-            raise ConnectionError("server closed the connection")
+        except OSError:
+            # The request's fate is unknown and the framing ambiguous.
+            self._teardown()
+            raise
         doc = decode_line(raw.decode("utf-8"))
-        _check_id(req_id, doc)
+        if doc.get("id") != req_id:
+            raise ServiceError(
+                ErrorCode.INTERNAL,
+                f"response id {doc.get('id')!r} does not match request {req_id}",
+            )
         return result_from_response(doc)
 
-    def call(
-        self, op: str, *, timeout: Optional[float] = None, **fields: Any
-    ) -> dict[str, Any]:
-        if self.auto_idem and op in IDEMPOTENT_OPS and "idem" not in fields:
-            fields = {**fields, "idem": _next_idem()}
-        tracer = self.tracer
-        if tracer is None:
-            return self._call_loop(op, fields, timeout, None, "", 0)
-        tid = next_trace_id()
-        payload: dict[str, Any] = {"op": op, "trace": tid}
-        if "session" in fields:
-            payload["session"] = fields["session"]
-        root = tracer.open_span("client.call", payload)
-        try:
-            result = self._call_loop(op, fields, timeout, tracer, tid, root)
-        except ServiceError as e:
-            tracer.close_span(
-                root, "client.call", {"trace": tid, "outcome": e.code.value}
-            )
-            raise
-        tracer.close_span(root, "client.call", {"trace": tid, "outcome": "ok"})
-        return result
-
-    def _call_loop(
-        self,
-        op: str,
-        fields: dict[str, Any],
-        timeout: Optional[float],
-        tracer: Optional[Tracer],
-        tid: str,
-        root: int,
-    ) -> dict[str, Any]:
-        delays = self.retry.schedule() if self.retry is not None else []
-        # The caller's ``timeout=`` is a whole-call budget for backoff:
-        # a server ``retry_after`` hint (or a long local delay) must
-        # never sleep past it -- when the wait cannot fit in what is
-        # left, fail fast with the pending error instead.
-        deadline = None if timeout is None else time.monotonic() + timeout
-        step = 0
-        attempt = 0
-        while True:
-            attempt += 1
-            afields = fields
-            aspan: Optional[int] = None
-            if tracer is not None:
-                aspan = tracer.open_span(
-                    "client.attempt",
-                    {"op": op, "parent": root, "trace": tid, "attempt": attempt},
-                )
-                afields = {**fields, "trace": {"tid": tid, "span": aspan}}
-            try:
-                if self._fh is None:
-                    self.reconnects += 1
-                    if tracer is not None:
-                        tracer.event("client.reconnect", {"trace": tid})
-                    self._connect()
-                result = self._call_once(op, afields, timeout)
-            except ServiceError as e:
-                if tracer is not None and aspan is not None:
-                    tracer.close_span(
-                        aspan, "client.attempt",
-                        {"trace": tid, "outcome": e.code.value},
-                    )
-                if (
-                    self.retry is None
-                    or not self.retry.retries_code(e.code)
-                    or step >= len(delays)
-                ):
-                    raise
-                wait = _retry_wait(delays[step], e)
-                if deadline is not None and wait >= deadline - time.monotonic():
-                    raise
-                step += 1
-                self.retries += 1
-                if tracer is not None:
-                    tracer.event(
-                        "client.retry",
-                        {"trace": tid, "error": e.code.value,
-                         "wait": round(wait, 6)},
-                    )
-                time.sleep(wait)
-            except (OSError, EOFError) as e:
-                # Transport failure mid-call: the request's fate is
-                # unknown, so tear down and (with idem keys making the
-                # retry safe) reconnect on the next attempt.
-                if tracer is not None and aspan is not None:
-                    tracer.close_span(
-                        aspan, "client.attempt",
-                        {"trace": tid, "outcome": "transport",
-                         "error": f"{type(e).__name__}: {e}"},
-                    )
-                self._teardown()
-                if self.retry is None or step >= len(delays):
-                    raise ServiceError(
-                        ErrorCode.INTERNAL, f"connection failed: {e}"
-                    ) from e
-                wait = delays[step]
-                if deadline is not None and wait >= deadline - time.monotonic():
-                    raise ServiceError(
-                        ErrorCode.INTERNAL, f"connection failed: {e}"
-                    ) from e
-                step += 1
-                self.retries += 1
-                if tracer is not None:
-                    tracer.event(
-                        "client.retry",
-                        {"trace": tid, "error": "transport",
-                         "wait": round(wait, 6)},
-                    )
-                time.sleep(wait)
-            else:
-                if tracer is not None and aspan is not None:
-                    tracer.close_span(
-                        aspan, "client.attempt", {"trace": tid, "outcome": "ok"}
-                    )
-                return result
-
     def close(self) -> None:
+        self._closed = True
         self._teardown()
 
     def __enter__(self) -> "ServiceClient":
@@ -517,7 +566,7 @@ class ServiceClient(_CallMixin):
         self.close()
 
 
-class AsyncServiceClient(_CallMixin):
+class AsyncServiceClient(_AsyncShell):
     """Pipelined asyncio client: any number of in-flight requests.
 
     Many tasks may share one instance.  Each request gets a fresh wire
@@ -525,7 +574,9 @@ class AsyncServiceClient(_CallMixin):
     sessions overlap on the one connection while each session's
     requests still reach the server in call order.  A request that
     times out tears the connection down (its framing is ambiguous),
-    failing every other request in flight on it.
+    failing every other request in flight on it; the next attempt on
+    any task reconnects.  ``reconnects`` counts the connections calls
+    opened (``connect()`` opens the first one).
     """
 
     def __init__(
@@ -551,6 +602,8 @@ class AsyncServiceClient(_CallMixin):
         self._pump: Optional["asyncio.Task[None]"] = None
         #: Connected, and neither torn down nor lost since.
         self.connected = False
+        self._closed = False
+        self._reconnecting = asyncio.Lock()
         #: Wire id -> the future its answer resolves.
         self._pending: dict[int, "asyncio.Future[dict[str, Any]]"] = {}
         self._next_id = 0
@@ -632,22 +685,41 @@ class AsyncServiceClient(_CallMixin):
             except asyncio.CancelledError:
                 pass
 
-    async def call_once(
-        self, op: str, fields: dict[str, Any], timeout: Optional[float]
-    ) -> dict[str, Any]:
-        """One attempt: send ``op`` under a fresh wire id and await the
-        answer echoing it.  No retry, no reconnect.
+    async def _reconnect(self, fields: dict[str, Any]) -> asyncio.StreamWriter:
+        """Replace a connection that is down.  One task reconnects; the
+        others that found it down wait for it and use its connection."""
+        async with self._reconnecting:
+            writer = self._writer
+            if writer is not None and self.connected:
+                return writer
+            if self._closed:
+                raise ServiceError(ErrorCode.INTERNAL, "client is closed")
+            if writer is not None:
+                await self._teardown(writer)
+            self.reconnects += 1
+            tracer = self.tracer
+            if tracer is not None and "trace" in fields:
+                tracer.event("client.reconnect", {"trace": fields["trace"]["tid"]})
+            await self.connect()
+            writer = self._writer
+            if writer is None or not self.connected:
+                raise ConnectionError("connection lost while reconnecting")
+            return writer
 
-        An error answer raises :class:`ServiceError` (INTERNAL when the
-        client was never connected); a lost connection raises
-        ``ConnectionError``, and so does a timeout, after tearing the
-        connection down.
+    async def _attempt(
+        self, shard: str, op: str, fields: dict[str, Any], budget: Optional[float]
+    ) -> dict[str, Any]:
+        """One try: send ``op`` under a fresh wire id and await the
+        answer echoing it, reconnecting first if the connection is down.
+
+        An error answer raises :class:`ServiceError` (INTERNAL once the
+        client is closed); a lost or refused connection raises
+        ``OSError``, and so does a timeout, after tearing the connection
+        down.
         """
         writer = self._writer
-        if writer is None:
-            raise ServiceError(ErrorCode.INTERNAL, "client is not connected")
-        if not self.connected:
-            raise ConnectionError("server closed the connection")
+        if writer is None or not self.connected:
+            writer = await self._reconnect(fields)
         self._next_id += 1
         rid = self._next_id
         fut: "asyncio.Future[dict[str, Any]]" = (
@@ -658,131 +730,16 @@ class AsyncServiceClient(_CallMixin):
         try:
             if writer.transport.get_write_buffer_size():
                 # The socket did not take the whole line: wait for room.
-                await asyncio.wait_for(writer.drain(), timeout)
-            doc = await asyncio.wait_for(fut, timeout)
+                await asyncio.wait_for(writer.drain(), budget)
+            doc = await asyncio.wait_for(fut, budget)
         except (asyncio.TimeoutError, TimeoutError) as e:
             self._pending.pop(rid, None)
             await self._teardown(writer)
             raise ConnectionError("request timed out") from e
         return result_from_response(doc)
 
-    async def call(
-        self, op: str, *, timeout: Optional[float] = None, **fields: Any
-    ) -> dict[str, Any]:
-        if self.auto_idem and op in IDEMPOTENT_OPS and "idem" not in fields:
-            fields = {**fields, "idem": _next_idem()}
-        tracer = self.tracer
-        if tracer is None:
-            return await self._call_loop(op, fields, timeout, None, "", 0)
-        tid = next_trace_id()
-        payload: dict[str, Any] = {"op": op, "trace": tid}
-        if "session" in fields:
-            payload["session"] = fields["session"]
-        root = tracer.open_span("client.call", payload)
-        try:
-            result = await self._call_loop(op, fields, timeout, tracer, tid, root)
-        except ServiceError as e:
-            tracer.close_span(
-                root, "client.call", {"trace": tid, "outcome": e.code.value}
-            )
-            raise
-        tracer.close_span(root, "client.call", {"trace": tid, "outcome": "ok"})
-        return result
-
-    async def _call_loop(
-        self,
-        op: str,
-        fields: dict[str, Any],
-        timeout: Optional[float],
-        tracer: Optional[Tracer],
-        tid: str,
-        root: int,
-    ) -> dict[str, Any]:
-        delays = self.retry.schedule() if self.retry is not None else []
-        # Same whole-call backoff budget as the sync client: a server
-        # ``retry_after`` hint never sleeps past ``timeout=``.
-        deadline = None if timeout is None else time.monotonic() + timeout
-        step = 0
-        attempt = 0
-        while True:
-            attempt += 1
-            afields = fields
-            aspan: Optional[int] = None
-            if tracer is not None:
-                aspan = tracer.open_span(
-                    "client.attempt",
-                    {"op": op, "parent": root, "trace": tid, "attempt": attempt},
-                )
-                afields = {**fields, "trace": {"tid": tid, "span": aspan}}
-            conn = self._writer
-            try:
-                if conn is None and self.retry is not None and step > 0:
-                    self.reconnects += 1
-                    if tracer is not None:
-                        tracer.event("client.reconnect", {"trace": tid})
-                    await self.connect()
-                    conn = self._writer
-                result = await self.call_once(op, afields, timeout)
-            except ServiceError as e:
-                if tracer is not None and aspan is not None:
-                    tracer.close_span(
-                        aspan, "client.attempt",
-                        {"trace": tid, "outcome": e.code.value},
-                    )
-                if (
-                    self.retry is None
-                    or not self.retry.retries_code(e.code)
-                    or step >= len(delays)
-                ):
-                    raise
-                wait = _retry_wait(delays[step], e)
-                if deadline is not None and wait >= deadline - time.monotonic():
-                    raise
-                step += 1
-                self.retries += 1
-                if tracer is not None:
-                    tracer.event(
-                        "client.retry",
-                        {"trace": tid, "error": e.code.value,
-                         "wait": round(wait, 6)},
-                    )
-                await asyncio.sleep(wait)
-            except (OSError, EOFError) as e:
-                # A lost connection or a timeout: the connection is
-                # gone (call_once tore a timed-out one down already).
-                if tracer is not None and aspan is not None:
-                    tracer.close_span(
-                        aspan, "client.attempt",
-                        {"trace": tid, "outcome": "transport",
-                         "error": f"{type(e).__name__}: {e}"},
-                    )
-                await self._teardown(conn)
-                if self.retry is None or step >= len(delays):
-                    raise ServiceError(
-                        ErrorCode.INTERNAL, f"connection failed: {e}"
-                    ) from e
-                wait = delays[step]
-                if deadline is not None and wait >= deadline - time.monotonic():
-                    raise ServiceError(
-                        ErrorCode.INTERNAL, f"connection failed: {e}"
-                    ) from e
-                step += 1
-                self.retries += 1
-                if tracer is not None:
-                    tracer.event(
-                        "client.retry",
-                        {"trace": tid, "error": "transport",
-                         "wait": round(wait, 6)},
-                    )
-                await asyncio.sleep(wait)
-            else:
-                if tracer is not None and aspan is not None:
-                    tracer.close_span(
-                        aspan, "client.attempt", {"trace": tid, "outcome": "ok"}
-                    )
-                return result
-
     async def close(self) -> None:
+        self._closed = True
         await self._teardown()
 
     async def __aenter__(self) -> "AsyncServiceClient":

@@ -141,7 +141,7 @@ def join_traces(
         if span.name == "client.attempt":
             attempts[(tid, span.sid)] = span
             attempts_per_trace[tid] = attempts_per_trace.get(tid, 0) + 1
-        elif span.name == "client.call":
+        elif span.name in ("client.call", "cluster.call"):
             calls[tid] = span
 
     rows: list[dict[str, Any]] = []
