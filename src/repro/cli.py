@@ -536,6 +536,13 @@ def cmd_cluster_rebalance(args: argparse.Namespace) -> int:
         shards = load_manifest(args.root)
     except (OSError, ValueError) as e:
         raise SystemExit(f"cluster rebalance: {e}")
+    replicas = [s.name for s in shards if s.of is not None]
+    if replicas:  # checked before any shard is touched (docs/CLUSTER.md)
+        raise SystemExit(
+            f"cluster rebalance: refusing a replicated cluster ({', '.join(replicas)}): "
+            f"migration leaves a session's replicas behind, so a failover "
+            f"after the move would serve the stale copy and lose later writes"
+        )
     ppath = os.path.join(root, PLACEMENT_FILE)
     try:
         placement = (

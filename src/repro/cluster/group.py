@@ -439,13 +439,11 @@ class ShardGroup:
         return events
 
     def _write_fence(self, data_dir: str, epoch: int, promoted: str) -> None:
-        """Durably fence a dead primary's data dir (same marker
-        discipline as the server's own ``fence.json`` handling)."""
-        os.makedirs(data_dir, exist_ok=True)
-        write_json_durable(
-            os.path.join(data_dir, "fence.json"),
-            {"epoch": epoch, "promoted": promoted},
-        )
+        """Durably fence a dead primary's data dir (the server's own
+        marker writer, :func:`repro.service.sessions.write_fence`)."""
+        from repro.service.sessions import write_fence
+
+        write_fence(data_dir, epoch, promoted)
 
     def reconcile(self, *, apply: bool = True) -> Any:
         """One anti-entropy sweep over this cluster's root.

@@ -28,9 +28,7 @@ from repro.recovery.fsck import (
     RECONCILER_KINDS,
     Finding,
     FsckReport,
-    read_tombstone,
     run_fsck,
-    session_last_lsn,
 )
 from repro.recovery.reconcile import (
     RESOLUTION_KINDS,
@@ -38,6 +36,8 @@ from repro.recovery.reconcile import (
     Resolution,
     reconcile_cluster,
 )
+from repro.service.image import read_tombstone
+from repro.service.journal import durable_lsn as session_last_lsn
 
 __all__ = [
     "FINDING_KINDS",

@@ -12,7 +12,11 @@ The repair contract (docs/RECOVERY.md) has three clauses:
    directory always satisfies :meth:`repro.service.journal.Journal.recover`:
    torn tails are truncated to the last valid record, segments broken
    mid-file are cut at the corruption, and anything past an LSN hole is
-   taken out of the replay path.
+   taken out of the replay path.  This holds by construction: fsck
+   reads segments with the journal's own scanner
+   (:func:`~repro.service.journal.scan_segment`) and judges the replay
+   chain with its own rule (:func:`~repro.service.journal.replay_chain`),
+   so it classifies exactly the damage recovery would refuse.
 2. **Quarantine, never destroy.**  Bytes that carried (or may have
    carried) acknowledged state are renamed/copied to ``*.corrupt``
    siblings, which fsck and the serving stack both ignore.  Only
@@ -36,34 +40,38 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generic, Optional, Sequence, TypeVar
+from typing import Any, Callable, Optional, Sequence
 
-from repro.cluster.group import MANIFEST_FILE, load_manifest
+from repro.cluster.group import MANIFEST_FILE, ShardSpec, load_manifest
 from repro.cluster.placement import PLACEMENT_FILE, PlacementMap
 from repro.cluster.rebalance import REALLOC_FILE
 from repro.obs.logsetup import get_logger
 from repro.service.image import (
-    _CONFIG_FILE,
-    _MOVED_FILE,
+    config_path,
     dedup_sidecar,
-    moved_target,
+    is_session_dir,
+    load_config,
+    read_tombstone,
+    scan_sessions,
+    session_dirs,
     set_dedup_sidecar,
+    tombstone_path,
 )
 from repro.service.journal import (
-    _SEG_PREFIX,
-    _SEG_SUFFIX,
-    _SNAP_KEEP,
-    _SNAP_PREFIX,
-    _SNAP_SUFFIX,
+    SNAPSHOT_KEEP,
     Journal,
     JournalCorrupt,
-    JournalRecord,
-    _decode_record,
-    _fsync_dir,
-    _listing,
+    fsync_dir,
+    read_snapshot,
+    replay_chain,
+    scan_lines,
+    scan_segment,
+    segment_files,
+    snapshot_files,
     write_json_durable,
 )
-from repro.service.sessions import _FENCE_FILE, _PROMOTED_FILE, _REPLICA_FILE
+from repro.service.protocol import ServiceError
+from repro.service.sessions import data_role
 
 log = get_logger("recovery.fsck")
 
@@ -229,7 +237,7 @@ def _quarantine_dst(path: str) -> str:
 def _quarantine_rename(path: str, rlog: _RepairLog, detail: str) -> str:
     dst = _quarantine_dst(path)
     os.replace(path, dst)
-    _fsync_dir(os.path.dirname(path) or ".")
+    fsync_dir(os.path.dirname(path) or ".")
     rlog.record("quarantine", path, f"-> {os.path.basename(dst)}: {detail}")
     return dst
 
@@ -240,7 +248,7 @@ def _quarantine_copy(path: str, rlog: _RepairLog, detail: str) -> str:
         out.write(src.read())
         out.flush()
         os.fsync(out.fileno())
-    _fsync_dir(os.path.dirname(path) or ".")
+    fsync_dir(os.path.dirname(path) or ".")
     rlog.record("quarantine-copy", path, f"-> {os.path.basename(dst)}: {detail}")
     return dst
 
@@ -255,38 +263,8 @@ def _truncate(path: str, size: int, rlog: _RepairLog, detail: str) -> None:
 
 def _unlink(path: str, rlog: _RepairLog, detail: str) -> None:
     os.unlink(path)
-    _fsync_dir(os.path.dirname(path) or ".")
+    fsync_dir(os.path.dirname(path) or ".")
     rlog.record("unlink", path, detail)
-
-
-# ----------------------------------------------------------------------
-# Raw scanners (never raise on corruption -- they classify it)
-
-
-_Rec = TypeVar("_Rec")
-
-
-@dataclass
-class _SegScan(Generic[_Rec]):
-    """Tolerant single-file scan: the valid record prefix plus a
-    classification of whatever cut it short."""
-
-    path: str
-    records: list[_Rec]
-    rec_ends: list[int]  # byte offset just past each valid record
-    bad_at: Optional[int]  # byte offset of the first undecodable line
-    bad_lineno: int
-    trailing: bool  # data (valid or not) after the bad line
-
-    @property
-    def kind(self) -> Optional[str]:
-        if self.bad_at is None:
-            return None
-        return "corrupt_record" if self.trailing else "torn_tail"
-
-    def cut_at(self, index: int) -> int:
-        """Byte size keeping only ``records[:index]``."""
-        return self.rec_ends[index - 1] if index > 0 else 0
 
 
 def _ledger_record(text: str) -> Optional[dict[str, Any]]:
@@ -297,90 +275,26 @@ def _ledger_record(text: str) -> Optional[dict[str, Any]]:
     return doc if isinstance(doc, dict) else None
 
 
-def _scan_segment(path: str) -> _SegScan[JournalRecord]:
-    return _scan_lines(path, _decode_record)
+def scan_ownership(
+    specs: Sequence[ShardSpec],
+) -> tuple[dict[str, list[str]], list[tuple[str, str, str]]]:
+    """On-disk ownership across a cluster: ``{session: [owning
+    shards]}`` plus ``(shard, session, target)`` for every tombstone.
 
-
-def _scan_lines(
-    path: str, parse: Callable[[str], Optional[_Rec]]
-) -> _SegScan[_Rec]:
-    """Tolerant scan of a JSON-lines file; ``parse`` returns None for a
-    bad line."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    records: list[_Rec] = []
-    rec_ends: list[int] = []
-    bad_at: Optional[int] = None
-    bad_lineno = 0
-    trailing = False
-    pos, lineno = 0, 0
-    size = len(data)
-    while pos < size:
-        nl = data.find(b"\n", pos)
-        end = size if nl == -1 else nl + 1
-        line = data[pos: size if nl == -1 else nl]
-        lineno += 1
-        text = line.decode("utf-8", errors="replace")
-        if text.strip():
-            rec = parse(text)
-            if rec is None:
-                if bad_at is None:
-                    bad_at, bad_lineno = pos, lineno
-                else:
-                    trailing = True
-            elif bad_at is not None:
-                trailing = True
-            else:
-                records.append(rec)
-                rec_ends.append(end)
-        pos = end
-    return _SegScan(path, records, rec_ends, bad_at, bad_lineno, trailing)
-
-
-def session_last_lsn(sdir: str) -> int:
-    """Highest durable LSN visible on disk (snapshot names + valid
-    records), tolerating torn/corrupt tails.  The reconciler uses this
-    to pick the survivor of a double-ownership conflict."""
-    last = max((lsn for lsn, _ in _listing(sdir, _SNAP_PREFIX, _SNAP_SUFFIX)), default=0)
-    for _, path in _listing(sdir, _SEG_PREFIX, _SEG_SUFFIX):
-        for rec in _scan_segment(path).records:
-            if rec.lsn > last:
-                last = rec.lsn
-    return last
-
-
-def read_tombstone(sdir: str) -> Optional[str]:
-    """Target shard named by ``moved.json``; ``"unknown"`` when the
-    tombstone exists but is unreadable; ``None`` when not tombstoned."""
-    if not os.path.isfile(os.path.join(sdir, _MOVED_FILE)):
-        return None
-    return moved_target(sdir)
-
-
-def _looks_like_session(path: str) -> bool:
-    if not os.path.isdir(path):
-        return False
-    if os.path.isfile(os.path.join(path, _CONFIG_FILE)):
-        return True
-    return bool(_listing(path, _SEG_PREFIX, _SEG_SUFFIX)) or bool(
-        _listing(path, _SNAP_PREFIX, _SNAP_SUFFIX)
-    )
-
-
-def _data_role(data_dir: str) -> str:
-    """What the marker files in a shard data dir say the shard is.
-
-    ``fence.json`` wins -- a later promotion at a higher epoch removes
-    it; ``promoted.json`` marks an ex-replica now serving as primary;
-    ``replica.json`` a follower; no marker means a plain primary.
+    Only primary data dirs count: replicas and fenced ex-primaries hold
+    *copies* of their primary's sessions -- present on disk, never
+    owners (the reconciler trims divergent copies).
     """
-    if os.path.isfile(os.path.join(data_dir, _FENCE_FILE)):
-        return "fenced"
-    if os.path.isfile(os.path.join(data_dir, _PROMOTED_FILE)):
-        return "primary"
-    if os.path.isfile(os.path.join(data_dir, _REPLICA_FILE)):
-        return "replica"
-    return "primary"
+    owners: dict[str, list[str]] = {}
+    tombstones: list[tuple[str, str, str]] = []
+    for spec in specs:
+        if not os.path.isdir(spec.data) or data_role(spec.data) != "primary":
+            continue
+        owned, moved = scan_sessions(spec.data)
+        for sid in owned:
+            owners.setdefault(sid, []).append(spec.name)
+        tombstones.extend((spec.name, sid, target) for sid, target in moved)
+    return owners, tombstones
 
 
 # ----------------------------------------------------------------------
@@ -415,8 +329,8 @@ def _scan_session_dir(sdir: str, *, repair: bool, report: FsckReport) -> None:
     _scan_stale_tmp(sdir, rlog, repair, add)
 
     # 2. tombstone readability.
-    moved_path = os.path.join(sdir, _MOVED_FILE)
-    if os.path.isfile(moved_path) and read_tombstone(sdir) == "unknown":
+    moved_path = tombstone_path(sdir)
+    if read_tombstone(sdir) == "unknown":
         detail = "moved.json unreadable; session cannot answer MOVED correctly"
         if repair:
             _quarantine_rename(moved_path, rlog, "unreadable tombstone")
@@ -425,66 +339,58 @@ def _scan_session_dir(sdir: str, *, repair: bool, report: FsckReport) -> None:
                     repaired=repair))
 
     # 3. config readability (unrepairable: fsck cannot invent a config).
-    cfg_path = os.path.join(sdir, _CONFIG_FILE)
+    cfg_path = config_path(sdir)
+    segments = segment_files(sdir)
+    snaps = snapshot_files(sdir)
     if os.path.isfile(cfg_path):
         try:
-            with open(cfg_path, encoding="utf-8") as fh:
-                if not isinstance(json.load(fh), dict):
-                    raise ValueError("not a JSON object")
-        except (OSError, ValueError, json.JSONDecodeError) as e:
+            load_config(sdir)
+        except (OSError, ValueError, ServiceError) as e:
             add(Finding("config_unreadable", cfg_path, f"cannot parse: {e}"))
-    elif _listing(sdir, _SEG_PREFIX, _SEG_SUFFIX) or _listing(
-        sdir, _SNAP_PREFIX, _SNAP_SUFFIX
-    ):
+    elif segments or snaps:
         add(Finding("config_unreadable", cfg_path,
                     "journal data present but config.json is missing"))
 
-    # 4. per-segment structure.
-    scans: list[tuple[int, _SegScan[JournalRecord]]] = []
-    for start, path in _listing(sdir, _SEG_PREFIX, _SEG_SUFFIX):
-        scan = _scan_segment(path)
-        if scan.kind == "torn_tail":
-            assert scan.bad_at is not None
+    # 4. per-segment structure, by the journal's own line rule.
+    scans = [scan_segment(path) for _, path in segments]
+    for scan in scans:
+        if scan.bad_at is None:
+            continue
+        if not scan.trailing:
             detail = (f"line {scan.bad_lineno}: undecodable final record "
                       f"(never acknowledged)")
             if repair:
-                _truncate(path, scan.bad_at, rlog, "torn tail")
-            add(Finding("torn_tail", path, detail,
+                _truncate(scan.path, scan.bad_at, rlog, "torn tail")
+            add(Finding("torn_tail", scan.path, detail,
                         repair="truncate to last valid record", repaired=repair))
-        elif scan.kind == "corrupt_record":
-            assert scan.bad_at is not None
+        else:
             detail = (f"line {scan.bad_lineno}: undecodable record followed "
                       f"by more data")
             if repair:
-                _quarantine_copy(path, rlog, "segment broken mid-file")
-                _truncate(path, scan.bad_at, rlog, "cut at corrupt record")
-            add(Finding("corrupt_record", path, detail,
+                _quarantine_copy(scan.path, rlog, "segment broken mid-file")
+                _truncate(scan.path, scan.bad_at, rlog, "cut at corrupt record")
+            add(Finding("corrupt_record", scan.path, detail,
                         repair="quarantine copy, cut at corruption",
                         repaired=repair))
-        scans.append((start, scan))
 
     # 5. snapshot generations: delete past the keep window (what the
     #    interrupted checkpoint would have done), quarantine unreadable.
-    snaps = _listing(sdir, _SNAP_PREFIX, _SNAP_SUFFIX)
-    for lsn, path in snaps[:-_SNAP_KEEP]:
+    for lsn, path in snaps[:-SNAPSHOT_KEEP]:
         detail = f"generation covering LSN {lsn} is past the keep window"
         if repair:
             _unlink(path, rlog, "snapshot past keep window")
         add(Finding("snapshot_orphan", path, detail, repair="delete",
                     repaired=repair))
 
-    kept = snaps[-_SNAP_KEEP:]
+    kept = snaps[-SNAPSHOT_KEEP:]
     base_lsn = 0
     base_doc: Optional[dict[str, Any]] = None
     base_path = ""
     newest_named = kept[-1][0] if kept else 0
     for lsn, path in kept:
         try:
-            with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-            if not isinstance(doc, dict):
-                raise ValueError("not a JSON object")
-        except (OSError, ValueError, json.JSONDecodeError) as e:
+            doc = read_snapshot(path)
+        except (OSError, ValueError) as e:
             detail = f"snapshot covering LSN {lsn} unreadable: {e}"
             if repair:
                 _quarantine_rename(path, rlog, "unreadable snapshot")
@@ -511,38 +417,31 @@ def _scan_session_dir(sdir: str, *, repair: bool, report: FsckReport) -> None:
                         repaired=repair))
 
     # 7. replay-chain contiguity above the base snapshot, over the valid
-    #    record prefixes (the post-repair view of step 4).
-    expect = base_lsn + 1
-    violated = False
-    for si, (start, scan) in enumerate(scans):
-        for ri, rec in enumerate(scan.records):
-            if rec.lsn <= base_lsn or violated:
-                continue
-            if rec.lsn == expect:
-                expect += 1
-                continue
-            violated = True
-            kind = "lsn_hole" if rec.lsn > expect else "lsn_duplicate"
-            detail = (f"record LSN {rec.lsn} where {expect} was expected; "
-                      f"replay stops at LSN {expect - 1}")
-            if repair:
-                _quarantine_copy(scan.path, rlog, f"{kind} at LSN {rec.lsn}")
-                _truncate(scan.path, scan.cut_at(ri), rlog,
-                          f"cut replay chain before LSN {rec.lsn}")
-                for _, later in scans[si + 1:]:
-                    if os.path.exists(later.path):
-                        _quarantine_rename(later.path, rlog,
-                                           f"past {kind} at LSN {rec.lsn}")
-            add(Finding(kind, scan.path, detail,
-                        repair="quarantine everything past the chain break",
-                        repaired=repair))
-        if violated:
-            break
+    #    record prefixes (the post-repair view of step 4), by the rule
+    #    recovery applies.
+    chain, brk = replay_chain(scans, base_lsn)
+    if brk is not None:
+        scan = scans[brk.segment]
+        lsn = scan.records[brk.record].lsn
+        kind = "lsn_hole" if lsn > brk.expected else "lsn_duplicate"
+        detail = (f"record LSN {lsn} where {brk.expected} was expected; "
+                  f"replay stops at LSN {brk.expected - 1}")
+        if repair:
+            _quarantine_copy(scan.path, rlog, f"{kind} at LSN {lsn}")
+            _truncate(scan.path, scan.cut_at(brk.record), rlog,
+                      f"cut replay chain before LSN {lsn}")
+            for later in scans[brk.segment + 1:]:
+                if os.path.exists(later.path):
+                    _quarantine_rename(later.path, rlog,
+                                       f"past {kind} at LSN {lsn}")
+        add(Finding(kind, scan.path, detail,
+                    repair="quarantine everything past the chain break",
+                    repaired=repair))
 
     # A repair that rolls back past an LSN a (now quarantined) newer
     # snapshot had covered loses acknowledged state; say so explicitly.
     if repair and repaired_any:
-        chain_end = expect - 1 if expect > base_lsn else base_lsn
+        chain_end = chain[-1].lsn if chain else base_lsn
         if chain_end < newest_named and base_lsn < newest_named:
             rlog.record(
                 "rollback", sdir,
@@ -565,24 +464,20 @@ def _scan_session_dir(sdir: str, *, repair: bool, report: FsckReport) -> None:
 # Server data dirs and cluster roots
 
 
-def _scan_server_dir(root: str, *, repair: bool, report: FsckReport) -> list[str]:
-    """Scan one shard/server data directory; returns the session subdirs."""
+def _scan_server_dir(root: str, *, repair: bool, report: FsckReport) -> None:
+    """Scan one shard/server data directory and its sessions."""
     report.scanned.append(root)
     _scan_stale_tmp(root, _RepairLog(root), repair, report.findings.append)
-    sessions = []
-    for name in sorted(os.listdir(root)):
-        path = os.path.join(root, name)
-        if not _ignored(name) and _looks_like_session(path):
-            sessions.append(path)
+    for name, path in session_dirs(root):
+        if not _ignored(name):
             _scan_session_dir(path, repair=repair, report=report)
-    return sessions
 
 
 def _scan_ledger(root: str, *, repair: bool, report: FsckReport) -> None:
     path = os.path.join(root, REALLOC_FILE)
     if not os.path.isfile(path):
         return
-    scan = _scan_lines(path, _ledger_record)
+    scan = scan_lines(path, _ledger_record)
     if scan.bad_at is None:
         return
     detail = f"line {scan.bad_lineno}: unparsable ledger record"
@@ -624,8 +519,12 @@ def _scan_cluster_root(root: str, *, repair: bool, report: FsckReport) -> None:
 
     _scan_ledger(root, repair=repair, report=report)
 
-    owners: dict[str, list[str]] = {}
-    tombstones: list[tuple[str, str, str]] = []  # (shard, session, target)
+    # Ownership as it stood before any repair below; an unreadable
+    # tombstone quarantined under --repair makes its shard an owner on
+    # the next run.
+    owners, tombstones = scan_ownership(shards)
+    if repair:
+        tombstones = [t for t in tombstones if t[2] != "unknown"]
     for spec in shards:
         if not os.path.isdir(spec.data):
             detail = f"manifest names shard {spec.name!r} data dir {spec.data!r}"
@@ -635,22 +534,9 @@ def _scan_cluster_root(root: str, *, repair: bool, report: FsckReport) -> None:
             add(Finding("shard_data_missing", spec.data, detail,
                         repair="recreate empty", repaired=repair))
             continue
-        # Journal-level repair applies to every shard's sessions, but
-        # replicas and fenced ex-primaries hold *copies* -- they never
-        # count as owners (the reconciler trims divergent copies).
-        copy_dir = _data_role(spec.data) != "primary"
-        for sdir in _scan_server_dir(spec.data, repair=repair, report=report):
-            if copy_dir:
-                continue
-            sid = os.path.basename(sdir)
-            target = read_tombstone(sdir)
-            if target is None:
-                if os.path.isfile(os.path.join(sdir, _CONFIG_FILE)):
-                    owners.setdefault(sid, []).append(spec.name)
-            elif target != "unknown" or not repair:
-                # (an unreadable tombstone was quarantined above under
-                # --repair, making this shard an owner on the next run)
-                tombstones.append((spec.name, sid, target))
+        # Journal-level repair applies to every shard's sessions,
+        # replicas and fenced ex-primaries included.
+        _scan_server_dir(spec.data, repair=repair, report=report)
 
     for sid, names in sorted(owners.items()):
         if len(names) > 1:
@@ -688,7 +574,7 @@ def run_fsck(paths: Sequence[str], *, repair: bool = False) -> FsckReport:
             raise ValueError(f"fsck target {path!r} is not a directory")
         if os.path.isfile(os.path.join(path, MANIFEST_FILE)):
             _scan_cluster_root(path, repair=repair, report=report)
-        elif _looks_like_session(path):
+        elif is_session_dir(path):
             _scan_session_dir(path, repair=repair, report=report)
         else:
             _scan_server_dir(path, repair=repair, report=report)

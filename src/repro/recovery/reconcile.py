@@ -38,8 +38,10 @@ ahead of the owner     quorum-acked; quarantine the cut bytes and
                        (``replica_truncate``)
 =====================  ==============================================
 
-Everything the reconciler needs at rest comes from
-:mod:`repro.recovery.fsck` helpers; run ``repro fsck --repair`` first
+Everything the reconciler reads at rest it reads through the modules
+that write it (:mod:`repro.service.journal`, :mod:`repro.service.image`,
+:mod:`repro.service.sessions`) and fsck's ownership scan; run
+``repro fsck --repair`` first
 after a crash so journal-level damage does not masquerade as missing
 ownership.  The periodic in-group sweep is
 :meth:`repro.cluster.group.ShardGroup.reconcile`.
@@ -57,28 +59,28 @@ from repro.cluster.rebalance import REALLOC_FILE, Migration, ReallocationLedger
 from repro.obs.logsetup import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.recovery.fsck import (
-    _data_role,
-    _looks_like_session,
     _quarantine_copy,
     _quarantine_rename,
-    _scan_segment,
     _truncate,
     _RepairLog,
-    read_tombstone,
-    session_last_lsn,
+    scan_ownership,
 )
 from repro.service.client import RetryPolicy, ServiceClient
-from repro.service.image import _CONFIG_FILE, _MOVED_FILE
+from repro.service.image import (
+    read_tombstone,
+    remove_tombstone,
+    session_dirs,
+    write_tombstone,
+)
 from repro.service.journal import (
-    _SEG_PREFIX,
-    _SEG_SUFFIX,
-    _SNAP_PREFIX,
-    _SNAP_SUFFIX,
-    _fsync_dir,
-    _listing,
-    write_json_durable,
+    durable_lsn,
+    fsync_dir,
+    scan_segment,
+    segment_files,
+    snapshot_files,
 )
 from repro.service.protocol import ServiceError
+from repro.service.sessions import data_role
 
 log = get_logger("recovery.reconcile")
 
@@ -187,32 +189,6 @@ class _Shards:
         self._clients.clear()
 
 
-def _scan_ownership(
-    specs: list[ShardSpec],
-) -> tuple[dict[str, list[str]], list[tuple[str, str, str]]]:
-    """On-disk truth: ``{session: [owning shards]}`` plus
-    ``(shard, session, target)`` for every tombstone."""
-    owners: dict[str, list[str]] = {}
-    tombstones: list[tuple[str, str, str]] = []
-    for spec in specs:
-        if not os.path.isdir(spec.data):
-            continue
-        if _data_role(spec.data) != "primary":
-            # Replicas and fenced ex-primaries hold *copies* of their
-            # primary's sessions -- present on disk, never owners.
-            continue
-        for sid in sorted(os.listdir(spec.data)):
-            sdir = os.path.join(spec.data, sid)
-            if not os.path.isdir(sdir):
-                continue
-            target = read_tombstone(sdir)
-            if target is not None:
-                tombstones.append((spec.name, sid, target))
-            elif os.path.isfile(os.path.join(sdir, _CONFIG_FILE)):
-                owners.setdefault(sid, []).append(spec.name)
-    return owners, tombstones
-
-
 def _measure(shards: _Shards, name: str, sid: str) -> tuple[float, float]:
     """(active jobs, total volume) of a session, attaching it if needed;
     (0, 0) when the shard cannot answer (including a shard that is down,
@@ -226,17 +202,6 @@ def _measure(shards: _Shards, name: str, sid: str) -> tuple[float, float]:
         return 0.0, 0.0
 
 
-def _rewrite_tombstone(sdir: str, target: str) -> None:
-    """Durably (re)write ``moved.json``; safe offline because tombstoned
-    sessions are never attached."""
-    write_json_durable(os.path.join(sdir, _MOVED_FILE), {"target": target})
-
-
-def _remove_tombstone(sdir: str) -> None:
-    os.unlink(os.path.join(sdir, _MOVED_FILE))
-    _fsync_dir(sdir)
-
-
 def _truncate_divergent(sdir: str, keep_lsn: int) -> list[str]:
     """Cut everything past ``keep_lsn`` out of a copy's journal.
 
@@ -248,14 +213,14 @@ def _truncate_divergent(sdir: str, keep_lsn: int) -> list[str]:
     """
     rlog = _RepairLog(sdir)
     actions: list[str] = []
-    for lsn, path in _listing(sdir, _SNAP_PREFIX, _SNAP_SUFFIX):
+    for lsn, path in snapshot_files(sdir):
         if lsn > keep_lsn:
             actions.append(f"quarantined snapshot at LSN {lsn}")
             _quarantine_rename(
                 path, rlog, f"snapshot past quorum-durable LSN {keep_lsn}"
             )
-    for _start, path in _listing(sdir, _SEG_PREFIX, _SEG_SUFFIX):
-        scan = _scan_segment(path)
+    for _start, path in segment_files(sdir):
+        scan = scan_segment(path)
         keep = 0
         for rec in scan.records:
             if rec.lsn > keep_lsn:
@@ -280,7 +245,7 @@ def _truncate_divergent(sdir: str, keep_lsn: int) -> list[str]:
             path, scan.cut_at(keep), rlog,
             f"unacked suffix past quorum-durable LSN {keep_lsn}",
         )
-    _fsync_dir(sdir)
+    fsync_dir(sdir)
     return actions
 
 
@@ -319,7 +284,7 @@ def reconcile_cluster(
     epoch0 = placement.epoch
     ledger = ReallocationLedger(os.path.join(root, REALLOC_FILE))
 
-    owners, tombstones = _scan_ownership(specs)
+    owners, tombstones = scan_ownership(specs)
     report.sessions = len(set(owners) | {sid for _, sid, _ in tombstones})
 
     try:
@@ -329,7 +294,7 @@ def reconcile_cluster(
             holders = owners[sid]
             if len(holders) <= 1:
                 continue
-            lsns = {n: session_last_lsn(shards.session_dir(n, sid)) for n in holders}
+            lsns = {n: durable_lsn(shards.session_dir(n, sid)) for n in holders}
             routed = placement.owner(sid)
             keeper = sorted(
                 holders,
@@ -373,7 +338,7 @@ def reconcile_cluster(
                     detail = f"tombstone aimed at {target!r}, owner is {own!r}"
                     applied = False
                     if apply:
-                        _rewrite_tombstone(shards.session_dir(shard, sid), own)
+                        write_tombstone(shards.session_dir(shard, sid), own)
                         applied = True
                     report.resolutions.append(
                         Resolution("retarget_tombstone", sid, shard, own,
@@ -390,7 +355,7 @@ def reconcile_cluster(
             )
             applied = False
             if apply:
-                _remove_tombstone(shards.session_dir(shard, sid))
+                remove_tombstone(shards.session_dir(shard, sid))
                 applied = True
             report.resolutions.append(
                 Resolution("roll_back", sid, shard, shard, detail, applied)
@@ -426,22 +391,17 @@ def reconcile_cluster(
         #    quorum-acked; truncate back to the durable prefix.  No
         #    ledger row -- no session moved, only a copy was trimmed.
         for spec in specs:
-            if not os.path.isdir(spec.data):
+            if not os.path.isdir(spec.data) or data_role(spec.data) == "primary":
                 continue
-            if _data_role(spec.data) == "primary":
-                continue
-            for sid in sorted(os.listdir(spec.data)):
-                sdir = os.path.join(spec.data, sid)
-                if not _looks_like_session(sdir):
-                    continue
+            for sid, sdir in session_dirs(spec.data):
                 if read_tombstone(sdir) is not None:
                     continue
                 holders = owners.get(sid, [])
                 if len(holders) != 1:
                     continue
                 own = holders[0]
-                copy_lsn = session_last_lsn(sdir)
-                own_lsn = session_last_lsn(shards.session_dir(own, sid))
+                copy_lsn = durable_lsn(sdir)
+                own_lsn = durable_lsn(shards.session_dir(own, sid))
                 if copy_lsn <= own_lsn:
                     continue
                 detail = (

@@ -690,7 +690,7 @@ class AsyncServiceClient(_AsyncShell):
         others that found it down wait for it and use its connection."""
         async with self._reconnecting:
             writer = self._writer
-            if writer is not None and self.connected:
+            if writer is not None and self.connected and not writer.is_closing():
                 return writer
             if self._closed:
                 raise ServiceError(ErrorCode.INTERNAL, "client is closed")
@@ -715,10 +715,11 @@ class AsyncServiceClient(_AsyncShell):
         An error answer raises :class:`ServiceError` (INTERNAL once the
         client is closed); a lost or refused connection raises
         ``OSError``, and so does a timeout, after tearing the connection
-        down.
+        down.  A transport that is closing counts as down even before
+        the reader task has seen the connection end.
         """
         writer = self._writer
-        if writer is None or not self.connected:
+        if writer is None or not self.connected or writer.is_closing():
             writer = await self._reconnect(fields)
         self._next_id += 1
         rid = self._next_id

@@ -7,9 +7,11 @@ window and, for a replica install, the primary's LSN floor.  Encoded,
 an image is a snapshot doc plus two sidecar keys, which only this module
 reads or writes.  :func:`apply_record` is the one rule that turns a
 journal record into a scheduler call and the answer the client got;
-live writes, recovery replay and ``repl_apply`` all use it.  Nothing
-here touches the event loop.  docs/SERVICE.md ("Session image") has the
-contract.
+live writes, recovery replay and ``repl_apply`` all use it.  This
+module also owns the session directory: it alone reads and writes
+``config.json`` and the ``moved.json`` tombstone, and decides which
+directories are sessions.  Nothing here touches the event loop.
+docs/SERVICE.md ("Session image") has the contract.
 """
 
 from __future__ import annotations
@@ -33,7 +35,16 @@ from repro.obs.instrument import attach
 from repro.obs.logsetup import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
-from repro.service.journal import Journal, JournalCorrupt, JournalRecord
+from repro.service.journal import (
+    Journal,
+    JournalCorrupt,
+    JournalRecord,
+    fsync_dir,
+    scan_segment,
+    segment_files,
+    snapshot_files,
+    write_json_durable,
+)
 from repro.service.protocol import ErrorCode, ServiceError, SessionConfig
 
 log = get_logger("service")
@@ -234,19 +245,94 @@ def apply_record(sched: SchedulerT, rec: JournalRecord) -> dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# Recovery
+# The session directory
 
 
-def moved_target(sdir: str) -> str:
-    """Target shard named by a ``moved.json`` tombstone (``"unknown"``
-    when it is missing or unreadable)."""
+def config_path(sdir: str) -> str:
+    return os.path.join(sdir, _CONFIG_FILE)
+
+
+def load_config(sdir: str) -> SessionConfig:
+    """The session's stored config.  Raises ``OSError``, ``ValueError``
+    (not JSON) or :class:`ServiceError` (not a valid config)."""
+    with open(config_path(sdir), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ServiceError(ErrorCode.BAD_REQUEST, "stored config is not a JSON object")
+    return SessionConfig.from_mapping(doc)
+
+
+def store_config(sdir: str, cfg: SessionConfig) -> None:
+    os.makedirs(sdir, exist_ok=True)
+    write_json_durable(config_path(sdir), cfg.to_dict())
+
+
+def tombstone_path(sdir: str) -> str:
+    return os.path.join(sdir, _MOVED_FILE)
+
+
+def read_tombstone(sdir: str) -> Optional[str]:
+    """Target shard named by the ``moved.json`` tombstone; ``"unknown"``
+    when the tombstone exists but is unreadable; None when the session
+    is not tombstoned."""
     try:
-        with open(os.path.join(sdir, _MOVED_FILE), encoding="utf-8") as fh:
+        with open(tombstone_path(sdir), encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError):
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError):
         return "unknown"
     target = doc.get("target") if isinstance(doc, dict) else None
     return target if isinstance(target, str) else "unknown"
+
+
+def write_tombstone(sdir: str, target: str) -> None:
+    """Durably (re)write the tombstone toward ``target``."""
+    write_json_durable(tombstone_path(sdir), {"target": target})
+
+
+def remove_tombstone(sdir: str) -> None:
+    """Durably remove the tombstone: the directory serves again."""
+    os.unlink(tombstone_path(sdir))
+    fsync_dir(sdir)
+
+
+def is_session_dir(path: str) -> bool:
+    """A directory holding a config or journal files."""
+    if not os.path.isdir(path):
+        return False
+    return (
+        os.path.isfile(config_path(path))
+        or bool(segment_files(path))
+        or bool(snapshot_files(path))
+    )
+
+
+def session_dirs(root: str) -> list[tuple[str, str]]:
+    """``(session id, path)`` of the session directories at ``root``:
+    ``root`` itself when it is one, else its subdirectories that are."""
+    if is_session_dir(root):
+        return [(os.path.basename(os.path.abspath(root)), root)]
+    subdirs = [(name, os.path.join(root, name)) for name in sorted(os.listdir(root))]
+    return [(name, path) for name, path in subdirs if is_session_dir(path)]
+
+
+def scan_sessions(root: str) -> tuple[list[str], list[tuple[str, str]]]:
+    """What a data dir holds: the ids of the sessions it owns (a config
+    and no tombstone) and ``(session id, target)`` per tombstone."""
+    owned: list[str] = []
+    moved: list[tuple[str, str]] = []
+    for sid, sdir in session_dirs(root):
+        target = read_tombstone(sdir)
+        if target is not None:
+            moved.append((sid, target))
+        elif os.path.isfile(config_path(sdir)):
+            owned.append(sid)
+    return owned, moved
+
+
+# ---------------------------------------------------------------------------
+# Recovery
 
 
 def recover_scheduler(
@@ -340,27 +426,22 @@ def replay_journal_dir(
     ...}`` rows instead of aborting the whole report.
     """
     reg = registry if registry is not None else MetricsRegistry()
-    if os.path.isfile(os.path.join(root, _CONFIG_FILE)):
-        found = [(os.path.basename(os.path.abspath(root)), root)]
-    else:
-        found = [
-            (name, os.path.join(root, name))
-            for name in sorted(os.listdir(root))
-            if os.path.isfile(os.path.join(root, name, _CONFIG_FILE))
-        ]
+    found = [
+        (sid, sdir, read_tombstone(sdir))
+        for sid, sdir in session_dirs(root)
+        if os.path.isfile(config_path(sdir))
+    ]
     if not found:
         raise ValueError(f"no service sessions under {root!r}")
-    moved = [os.path.isfile(os.path.join(sdir, _MOVED_FILE)) for _, sdir in found]
     infos: list[dict[str, Any]] = [
-        {"session": sid, "skipped_moved": True, "moved_to": moved_target(sdir)}
-        for (sid, sdir), gone in zip(found, moved)
-        if gone
+        {"session": sid, "skipped_moved": True, "moved_to": target}
+        for sid, _, target in found
+        if target is not None
     ]
-    for (sid, sdir), gone in zip(found, moved):
-        if gone:
+    for sid, sdir, target in found:
+        if target is not None:
             continue
-        with open(os.path.join(sdir, _CONFIG_FILE), encoding="utf-8") as fh:
-            cfg = SessionConfig.from_mapping(json.load(fh))
+        cfg = load_config(sdir)
         sched, journal, info = recover_scheduler(
             sdir, cfg, registry=reg, attach_obs=True
         )
@@ -376,3 +457,22 @@ def replay_journal_dir(
             }
         )
     return reg, infos
+
+
+def read_journal_records(root: str) -> dict[str, list[JournalRecord]]:
+    """Valid on-disk records per session, in LSN order (LSNs are
+    per-session, so the map key is part of the join identity).
+
+    Offline forensics helper (``repro report --journal --trace``): unlike
+    :meth:`Journal.recover` it ignores snapshots entirely -- it answers
+    "which LSNs are still in the segment files", which is exactly the set
+    a trace join can resolve back to requests.  ``root`` may be a single
+    session directory (key = its basename) or a server data directory.
+    """
+    out: dict[str, list[JournalRecord]] = {}
+    for sid, sdir in session_dirs(root):
+        records: list[JournalRecord] = []
+        for _, path in segment_files(sdir):
+            records.extend(scan_segment(path, strict=True).records)
+        out[sid] = sorted(records, key=lambda rec: rec.lsn)
+    return out

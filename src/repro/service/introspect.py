@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
 from repro.obs.trace import read_trace
-from repro.service.journal import read_journal_records
+from repro.service.image import read_journal_records
 
 __all__ = [
     "Span",

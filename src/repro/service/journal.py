@@ -24,10 +24,15 @@ On-disk layout (one directory per session)::
 
 Each record line is ``{"lsn": n, "op": ..., "name": ..., "size": ...,
 "c": crc32}``; the CRC is over the record minus ``c``, so a torn write
-(crash mid-line) is detected, not silently replayed.  A torn *final*
-line of a segment is tolerated -- the record was never acknowledged --
-while a bad line anywhere else raises :class:`JournalCorrupt` (replaying
-past a hole would silently diverge from the pre-crash scheduler).
+(crash mid-line) is detected, not silently replayed.  The line rule,
+which :func:`scan_lines` implements for every reader (the server,
+``repro fsck``, the reconciler): lines end at ``\n`` only; a lone
+undecodable *final* line is a torn tail -- the record was never
+acknowledged -- while an undecodable line with anything after it is
+corruption, and so is a gap in the LSNs (:func:`replay_chain`):
+replaying past a hole would silently diverge from the pre-crash
+scheduler.  This module is the only reader and writer of segment and
+snapshot files.
 
 Fsync policy trades durability for throughput (measurable with the load
 generator; see docs/SERVICE.md):
@@ -56,7 +61,7 @@ import os
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Callable, Generic, Optional, TypeVar
 
 from repro import faults
 from repro.obs.logsetup import get_logger
@@ -70,7 +75,7 @@ FSYNC_POLICIES = ("always", "interval", "never")
 _SEG_PREFIX, _SEG_SUFFIX = "wal-", ".seg"
 _SNAP_PREFIX, _SNAP_SUFFIX = "snap-", ".json"
 #: Kept snapshot generations (the newest, plus one fallback).
-_SNAP_KEEP = 2
+SNAPSHOT_KEEP = 2
 
 
 class JournalCorrupt(Exception):
@@ -114,7 +119,7 @@ def _encode_record(rec: JournalRecord) -> bytes:
     )
 
 
-def _decode_record(line: str) -> Optional[JournalRecord]:
+def decode_record(line: str) -> Optional[JournalRecord]:
     """Parse one journal line; ``None`` if torn/undecodable."""
     try:
         doc = json.loads(line)
@@ -139,7 +144,7 @@ def _decode_record(line: str) -> Optional[JournalRecord]:
         return None
 
 
-def _fsync_dir(path: str) -> None:
+def fsync_dir(path: str) -> None:
     """Best-effort directory fsync (durable file creation/rename)."""
     try:
         fd = os.open(path, os.O_RDONLY)
@@ -166,7 +171,7 @@ def write_json_durable(path: str, doc: Any) -> None:
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
-    _fsync_dir(os.path.dirname(path) or ".")
+    fsync_dir(os.path.dirname(path) or ".")
 
 
 def _listing(root: str, prefix: str, suffix: str) -> list[tuple[int, str]]:
@@ -178,6 +183,137 @@ def _listing(root: str, prefix: str, suffix: str) -> list[tuple[int, str]]:
             if digits.isdigit():
                 out.append((int(digits), os.path.join(root, name)))
     return sorted(out)
+
+
+def segment_files(root: str) -> list[tuple[int, str]]:
+    """Sorted ``(start_lsn, path)`` for every segment under ``root``."""
+    return _listing(root, _SEG_PREFIX, _SEG_SUFFIX)
+
+
+def snapshot_files(root: str) -> list[tuple[int, str]]:
+    """Sorted ``(covered_lsn, path)`` for every snapshot under ``root``."""
+    return _listing(root, _SNAP_PREFIX, _SNAP_SUFFIX)
+
+
+def read_snapshot(path: str) -> dict[str, Any]:
+    """One snapshot document; raises ``OSError``, or ``ValueError`` when
+    the file is not a JSON object."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("not a JSON object")
+    return doc
+
+
+_Rec = TypeVar("_Rec")
+
+
+@dataclass
+class LineScan(Generic[_Rec]):
+    """A JSON-lines file read by the line rule: the valid record prefix
+    plus what, if anything, cut it short."""
+
+    path: str
+    records: list[_Rec]
+    #: Byte offset just past each record, and its 1-based line number.
+    ends: list[int]
+    linenos: list[int]
+    #: Byte offset and line number of the first undecodable line.
+    bad_at: Optional[int]
+    bad_lineno: int
+    #: Whether anything but blank lines follows the undecodable line.
+    trailing: bool
+
+    def cut_at(self, index: int) -> int:
+        """Byte size keeping only ``records[:index]``."""
+        return self.ends[index - 1] if index > 0 else 0
+
+
+def scan_lines(path: str, parse: Callable[[str], Optional[_Rec]]) -> LineScan[_Rec]:
+    """Read ``path`` by the line rule; ``parse`` returns None for a bad
+    line.  Lines end at ``\n`` only (the file is read in binary, so a
+    stray ``\r`` is part of its line); blank lines are skipped; records
+    stop at the first undecodable line.  Never raises on damage."""
+    records: list[_Rec] = []
+    ends: list[int] = []
+    linenos: list[int] = []
+    bad_at: Optional[int] = None
+    pos = lineno = bad_lineno = 0
+    trailing = False
+    with open(path, "rb") as fh:
+        for raw in fh:
+            lineno += 1
+            end = pos + len(raw)
+            text = raw.decode("utf-8", "replace")
+            if text.strip():
+                if bad_at is not None:
+                    trailing = True
+                    break
+                rec = parse(text)
+                if rec is None:
+                    bad_at, bad_lineno = pos, lineno
+                else:
+                    records.append(rec)
+                    ends.append(end)
+                    linenos.append(lineno)
+            pos = end
+    return LineScan(path, records, ends, linenos, bad_at, bad_lineno, trailing)
+
+
+def scan_segment(path: str, *, strict: bool = False) -> LineScan[JournalRecord]:
+    """One segment's records.  ``strict`` (the serving read) raises
+    :class:`JournalCorrupt` on an undecodable line with data after it
+    and logs a dropped torn tail; otherwise (fsck) the damage is left
+    in the scan for the caller to classify."""
+    scan = scan_lines(path, decode_record)
+    if strict and scan.bad_at is not None:
+        if scan.trailing:
+            raise JournalCorrupt(
+                f"{path}:{scan.bad_lineno}: undecodable record followed by more data"
+            )
+        log.warning("journal %s: dropped torn record at line %d", path, scan.bad_lineno)
+    return scan
+
+
+@dataclass(frozen=True)
+class ChainBreak:
+    """Where a replay chain stops: ``scans[segment].records[record]``
+    carries an LSN other than ``expected``."""
+
+    segment: int
+    record: int
+    expected: int
+
+
+def replay_chain(
+    scans: list[LineScan[JournalRecord]], base_lsn: int
+) -> tuple[list[JournalRecord], Optional[ChainBreak]]:
+    """The replay rule: the records past ``base_lsn`` (the snapshot's
+    LSN), in segment order, must continue it one LSN at a time.
+    Returns the contiguous tail and where it breaks, if it does;
+    records at or below ``base_lsn`` are skipped."""
+    tail: list[JournalRecord] = []
+    expect = base_lsn + 1
+    for si, scan in enumerate(scans):
+        for ri, rec in enumerate(scan.records):
+            if rec.lsn <= base_lsn:
+                continue
+            if rec.lsn != expect:
+                return tail, ChainBreak(si, ri, expect)
+            tail.append(rec)
+            expect += 1
+    return tail, None
+
+
+def durable_lsn(root: str, *, strict: bool = False) -> int:
+    """Highest LSN on disk under ``root``: the last valid record, else
+    the newest snapshot's.  ``strict`` as in :func:`scan_segment`."""
+    last = max((lsn for lsn, _ in snapshot_files(root)), default=0)
+    for _, path in segment_files(root):
+        for rec in scan_segment(path, strict=strict).records:
+            if rec.lsn > last:
+                last = rec.lsn
+    return last
 
 
 class Journal:
@@ -219,65 +355,16 @@ class Journal:
         self._seg_records = 0
         self._since_fsync = 0
         os.makedirs(root, exist_ok=True)
-        self._lsn = self._scan_last_lsn()
+        self._lsn = durable_lsn(root, strict=True)
 
     # -- discovery -------------------------------------------------------
-
-    def _segments(self) -> list[tuple[int, str]]:
-        """Sorted ``(start_lsn, path)`` for every segment on disk."""
-        return _listing(self.root, _SEG_PREFIX, _SEG_SUFFIX)
-
-    def _snapshots(self) -> list[tuple[int, str]]:
-        """Sorted ``(covered_lsn, path)`` for every snapshot on disk."""
-        return _listing(self.root, _SNAP_PREFIX, _SNAP_SUFFIX)
 
     @staticmethod
     def discard(root: str) -> None:
         """Delete every segment and snapshot under ``root`` (a replica
         install: the incoming image supersedes the local copy wholesale)."""
-        for prefix, suffix in ((_SEG_PREFIX, _SEG_SUFFIX), (_SNAP_PREFIX, _SNAP_SUFFIX)):
-            for _, path in _listing(root, prefix, suffix):
-                os.unlink(path)
-
-    def _scan_last_lsn(self) -> int:
-        """Highest durable LSN: last valid record, else latest snapshot."""
-        last = max((lsn for lsn, _ in self._snapshots()), default=0)
-        for _, path in self._segments():
-            for rec, _ in self._read_segment(path):
-                if rec.lsn > last:
-                    last = rec.lsn
-        return last
-
-    @staticmethod
-    def _read_segment(path: str) -> list[tuple[JournalRecord, int]]:
-        """Valid ``(record, lineno)`` pairs of one segment.
-
-        A single undecodable *final* line is dropped (torn write); an
-        undecodable line followed by valid records is corruption.
-        """
-        records: list[tuple[JournalRecord, int]] = []
-        bad_line: Optional[int] = None
-        with open(path, encoding="utf-8", errors="replace") as fh:
-            for lineno, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                rec = _decode_record(line)
-                if rec is None:
-                    if bad_line is not None:
-                        raise JournalCorrupt(
-                            f"{path}:{bad_line}: undecodable record "
-                            f"followed by more data"
-                        )
-                    bad_line = lineno
-                    continue
-                if bad_line is not None:
-                    raise JournalCorrupt(
-                        f"{path}:{bad_line}: undecodable record mid-segment"
-                    )
-                records.append((rec, lineno))
-        if bad_line is not None:
-            log.warning("journal %s: dropped torn record at line %d", path, bad_line)
-        return records
+        for _, path in segment_files(root) + snapshot_files(root):
+            os.unlink(path)
 
     # -- appending -------------------------------------------------------
 
@@ -421,7 +508,7 @@ class Journal:
         self._fh = open(path, "wb")
         self._seg_records = 0
         self._since_fsync = 0
-        _fsync_dir(self.root)
+        fsync_dir(self.root)
 
     # -- checkpointing ---------------------------------------------------
 
@@ -461,17 +548,17 @@ class Journal:
             if ot is not None:
                 ot.journal_end(error=f"{type(e).__name__}: {e}")
             raise
-        _fsync_dir(self.root)
+        fsync_dir(self.root)
         # Now the tail is redundant: drop covered segments + old snaps.
         if self._fh is not None:
             self._fh.close()
             self._fh = None
             self._seg_records = 0
             self._since_fsync = 0
-        for start, seg_path in self._segments():
+        for start, seg_path in segment_files(self.root):
             if start <= lsn:
                 os.unlink(seg_path)
-        for _, snap_path in self._snapshots()[:-_SNAP_KEEP]:
+        for _, snap_path in snapshot_files(self.root)[:-SNAPSHOT_KEEP]:
             os.unlink(snap_path)
         self.checkpoints += 1
         reg = self.registry
@@ -494,33 +581,26 @@ class Journal:
             plan.hit("journal.recover.io")
         snap_doc: Optional[dict[str, Any]] = None
         snap_lsn = 0
-        for lsn, path in reversed(self._snapshots()):
+        snaps = snapshot_files(self.root)
+        for lsn, path in reversed(snaps):
             try:
-                with open(path, encoding="utf-8") as fh:
-                    doc = json.load(fh)
-            except (OSError, json.JSONDecodeError) as e:
-                log.warning("journal %s: unreadable snapshot %s (%s)", self.root, path, e)
-                continue
-            if isinstance(doc, dict):
-                snap_doc, snap_lsn = doc, lsn
+                snap_doc, snap_lsn = read_snapshot(path), lsn
                 break
-        tail: list[JournalRecord] = []
-        expect = snap_lsn + 1
-        for _, seg_path in self._segments():
-            for rec, lineno in self._read_segment(seg_path):
-                if rec.lsn <= snap_lsn:
-                    continue
-                if rec.lsn != expect:
-                    raise JournalCorrupt(
-                        f"{seg_path}:{lineno}: LSN {rec.lsn}, expected {expect} "
-                        f"(hole in the journal)"
-                    )
-                tail.append(rec)
-                expect += 1
+            except (OSError, ValueError) as e:
+                log.warning("journal %s: unreadable snapshot %s (%s)", self.root, path, e)
+        scans = [scan_segment(path, strict=True) for _, path in segment_files(self.root)]
+        tail, brk = replay_chain(scans, snap_lsn)
+        if brk is not None:
+            scan = scans[brk.segment]
+            raise JournalCorrupt(
+                f"{scan.path}:{scan.linenos[brk.record]}: LSN "
+                f"{scan.records[brk.record].lsn}, expected {brk.expected} "
+                f"(hole in the journal)"
+            )
         # Falling back to an older snapshot is only sound if the journal
         # still covers everything the newer (unreadable) one did --
         # otherwise acknowledged ops would silently vanish.
-        newest = max((lsn for lsn, _ in self._snapshots()), default=0)
+        newest = snaps[-1][0] if snaps else 0
         recovered_to = tail[-1].lsn if tail else snap_lsn
         if recovered_to < newest:
             raise JournalCorrupt(
@@ -537,8 +617,8 @@ class Journal:
             "appends": self.appends,
             "fsyncs": self.fsyncs,
             "checkpoints": self.checkpoints,
-            "segments": len(self._segments()),
-            "snapshots": len(self._snapshots()),
+            "segments": len(segment_files(self.root)),
+            "snapshots": len(snapshot_files(self.root)),
         }
 
     def close(self) -> None:
@@ -555,34 +635,3 @@ class Journal:
     def __exit__(self, *exc: object) -> None:
         self.close()
 
-
-def read_journal_records(root: str) -> dict[str, list[JournalRecord]]:
-    """Valid on-disk records per session, in LSN order (LSNs are
-    per-session, so the map key is part of the join identity).
-
-    Offline forensics helper (``repro report --journal --trace``): unlike
-    :meth:`Journal.recover` it ignores snapshots entirely -- it answers
-    "which LSNs are still in the segment files", which is exactly the set
-    a trace join can resolve back to requests.  ``root`` may be a single
-    session directory (key = its basename) or a server data directory
-    (one level of session subdirectories is scanned).
-    """
-
-    if _listing(root, _SEG_PREFIX, _SEG_SUFFIX) or os.path.isfile(
-        os.path.join(root, "config.json")
-    ):
-        roots = [(os.path.basename(os.path.abspath(root)), root)]
-    else:
-        roots = [
-            (n, os.path.join(root, n))
-            for n in sorted(os.listdir(root))
-            if os.path.isdir(os.path.join(root, n))
-        ]
-    out: dict[str, list[JournalRecord]] = {}
-    for sid, r in roots:
-        records: list[JournalRecord] = []
-        for _, path in _listing(r, _SEG_PREFIX, _SEG_SUFFIX):
-            for rec, _ in Journal._read_segment(path):
-                records.append(rec)
-        out[sid] = sorted(records, key=lambda rec: rec.lsn)
-    return out

@@ -16,9 +16,10 @@ The :class:`Replicator` lives on the primary and is driven from inside
 each session's worker turn (:meth:`SessionManager._worker` awaits
 :meth:`ship` after the op is applied and journaled locally), so per-
 session ship order always equals journal order.  Each replica link is
-one pipelined :class:`~repro.service.client.AsyncServiceClient`: the
-ships of different sessions are in flight on it at once.  Two ack
-modes:
+one pipelined :class:`~repro.service.client.AsyncServiceClient`, made
+once and closed only by :meth:`Replicator.close`: the ships of
+different sessions are in flight on it at once, and after a lost
+connection the next ship reconnects it.  Two ack modes:
 
 * ``quorum`` -- :meth:`ship` resolves only once the record is durable
   on a majority of the ``1 + N`` copies (the primary counts as one), so
@@ -94,7 +95,9 @@ class ReplicaLink:
     failure (timeout mid-apply) is re-shipped and deduplicated by the
     replica's own LSN check.  ``behind`` marks sessions whose async
     writer hit a gap or error -- the next quorum-path ship catches them
-    up inline, where the snapshot provider is safe to call.
+    up inline, where the snapshot provider is safe to call.  ``client``
+    reconnects by itself; a failed ship only backs the link off until
+    ``down_until``.
     """
 
     __slots__ = (
@@ -106,7 +109,7 @@ class ReplicaLink:
         self.host = host
         self.port = port
         self.timeout = timeout
-        self.client: Optional[AsyncServiceClient] = None
+        self.client = AsyncServiceClient(host, port)
         self.shipped: dict[str, int] = {}
         self.behind: set[str] = set()
         self.down_until = 0.0
@@ -116,39 +119,6 @@ class ReplicaLink:
     @property
     def name(self) -> str:
         return f"{self.host}:{self.port}"
-
-    async def connect(self) -> AsyncServiceClient:
-        client = self.client
-        if client is not None:
-            return client
-        fresh = AsyncServiceClient(self.host, self.port)
-        await fresh.connect()
-        keep, loser = self._adopt(fresh)
-        if loser is not None:
-            # Another task (the async-mode writer vs an inline catch-up)
-            # connected while we awaited; keep theirs, drop ours.
-            await loser.close()
-        return keep
-
-    def _adopt(
-        self, fresh: AsyncServiceClient
-    ) -> tuple[AsyncServiceClient, Optional[AsyncServiceClient]]:
-        """Install ``fresh`` unless a racing task connected first.
-
-        No awaits, so the check-and-set is atomic under the event loop;
-        returns ``(winner, loser-to-close)``.
-        """
-        current = self.client
-        if current is not None:
-            return current, fresh
-        self.client = fresh
-        return fresh, None
-
-    async def drop(self) -> None:
-        client = self.client
-        self.client = None
-        if client is not None:
-            await client.close()
 
 
 class Replicator:
@@ -276,7 +246,7 @@ class Replicator:
                 # Stream loss between primary and this replica (armed
                 # with kind=drop; delay models a slow inter-node hop).
                 plan.hit("replica.stream.drop")
-            client = await link.connect()
+            client = link.client
             if sid not in link.behind:
                 try:
                     reply = await client.repl_apply(
@@ -298,10 +268,7 @@ class Replicator:
             self.installs += 1
             return link.shipped[sid] >= lsn
         except (ServiceError, ConnectionDropped, OSError, EOFError) as e:
-            # Back off before the await: other sessions' ships share
-            # this link and must not reconnect while it is torn down.
             link.down_until = time.monotonic() + _BACKOFF
-            await link.drop()
             log.warning(
                 "replica %s: ship of %s@%d failed: %s", link.name, sid, lsn, e
             )
@@ -331,8 +298,7 @@ class Replicator:
             if link.shipped.get(sid, 0) >= lsn or sid in link.behind:
                 continue
             try:
-                client = await link.connect()
-                reply = await client.repl_apply(sid, [line], timeout=self.timeout)
+                reply = await link.client.repl_apply(sid, [line], timeout=self.timeout)
                 if "need" in reply:
                     link.behind.add(sid)
                 else:
@@ -340,7 +306,6 @@ class Replicator:
             except (ServiceError, ConnectionDropped, OSError, EOFError) as e:
                 link.behind.add(sid)
                 link.down_until = time.monotonic() + _BACKOFF
-                await link.drop()
                 log.warning(
                     "replica %s: async ship of %s@%d failed: %s",
                     link.name, sid, lsn, e,
@@ -386,4 +351,4 @@ class Replicator:
                 except asyncio.CancelledError:
                     pass
                 link.writer = None
-            await link.drop()
+            await link.client.close()

@@ -61,14 +61,18 @@ from repro.obs.trace import Tracer
 from repro.service import tracing
 
 from repro.service.image import (
-    _CONFIG_FILE,
-    _MOVED_FILE,
     DedupWindow,
     SchedulerT,
     SessionImage,
     apply_record,
+    config_path,
+    load_config,
     lsn_floor,
-    moved_target,
+    read_tombstone,
+    remove_tombstone,
+    scan_sessions,
+    store_config,
+    write_tombstone,
 )
 
 # Re-exported: the benchmark suite imports these from this module.
@@ -82,7 +86,8 @@ from repro.service.journal import (
     Journal,
     JournalCorrupt,
     JournalRecord,
-    _decode_record,
+    decode_record,
+    durable_lsn,
     write_json_durable,
 )
 from repro.service.protocol import (
@@ -104,10 +109,38 @@ _SID_RE = re.compile(r"^[A-Za-z0-9._-]{1,128}$")
 #: a replica serve writes ``replica.json`` naming its primary;
 #: ``repl_promote`` durably supersedes it with ``promoted.json`` at the
 #: new placement epoch; the failover driver writes ``fence.json`` into
-#: a dead primary's data dir so a late respawn refuses stale writes.
+#: a dead primary's data dir (:func:`write_fence`) so a late respawn
+#: refuses stale writes.  Only this module reads or writes them.
 _REPLICA_FILE = "replica.json"
 _PROMOTED_FILE = "promoted.json"
 _FENCE_FILE = "fence.json"
+
+
+def write_fence(data_dir: str, epoch: int, promoted: str) -> None:
+    """Durably fence a dead primary's data dir: from ``epoch`` on,
+    authority is ``promoted``'s."""
+    os.makedirs(data_dir, exist_ok=True)
+    write_json_durable(
+        os.path.join(data_dir, _FENCE_FILE), {"epoch": epoch, "promoted": promoted}
+    )
+
+
+def data_role(data_dir: str) -> str:
+    """What the markers in a data dir say its shard is.
+
+    ``fence.json`` wins -- a later promotion at a higher epoch removes
+    it -- so ``"fenced"``; ``promoted.json`` marks an ex-replica now
+    serving as ``"primary"``; ``replica.json`` a ``"replica"``; no
+    marker means a plain ``"primary"``.
+    """
+    if os.path.isfile(os.path.join(data_dir, _FENCE_FILE)):
+        return "fenced"
+    if os.path.isfile(os.path.join(data_dir, _PROMOTED_FILE)):
+        return "primary"
+    if os.path.isfile(os.path.join(data_dir, _REPLICA_FILE)):
+        return "replica"
+    return "primary"
+
 
 #: Client-facing mutating ops: the set replica mode and an epoch fence
 #: refuse with MOVED.  Reads (``query``/``stats``) and the ``repl_*``
@@ -291,14 +324,7 @@ class SessionManager:
     # -- discovery -------------------------------------------------------
 
     def session_ids_on_disk(self) -> list[str]:
-        out = []
-        for name in sorted(os.listdir(self.root)):
-            sdir = os.path.join(self.root, name)
-            if os.path.isfile(
-                os.path.join(sdir, _CONFIG_FILE)
-            ) and not os.path.isfile(os.path.join(sdir, _MOVED_FILE)):
-                out.append(name)
-        return out
+        return scan_sessions(self.root)[0]
 
     def live_count(self) -> int:
         return sum(1 for s in self.sessions.values() if s.live)
@@ -437,13 +463,10 @@ class SessionManager:
         """
         if sid not in self.sessions:
             sdir = os.path.join(self.root, sid)
-            if os.path.isfile(os.path.join(sdir, _MOVED_FILE)):
-                return {
-                    "sealed": True,
-                    "noop": True,
-                    "target": moved_target(sdir),
-                }
-            if not os.path.isfile(os.path.join(sdir, _CONFIG_FILE)):
+            moved = read_tombstone(sdir)
+            if moved is not None:
+                return {"sealed": True, "noop": True, "target": moved}
+            if not os.path.isfile(config_path(sdir)):
                 raise ServiceError(
                     ErrorCode.NO_SUCH_SESSION, f"no session {sid!r}"
                 )
@@ -558,9 +581,9 @@ class SessionManager:
                 sessions[sid] = journal.last_lsn
             else:
                 try:
-                    scan = Journal(os.path.join(self.root, sid), fsync="never")
-                    sessions[sid] = scan.last_lsn
-                    scan.close()
+                    sessions[sid] = durable_lsn(
+                        os.path.join(self.root, sid), strict=True
+                    )
                 except (JournalCorrupt, OSError):
                     sessions[sid] = 0
         return {
@@ -722,25 +745,21 @@ class SessionManager:
             self._check_config(sess.config, config_map)
             return sess, False
         sdir = os.path.join(self.root, sid)
-        cfg_path = os.path.join(sdir, _CONFIG_FILE)
-        moved_path = os.path.join(sdir, _MOVED_FILE)
-        if os.path.isfile(moved_path):
+        target = read_tombstone(sdir)
+        if target is not None:
             if adopt:
                 # The session is migrating back in; the incoming snapshot
                 # supersedes whatever this tombstoned directory holds.
-                os.unlink(moved_path)
+                remove_tombstone(sdir)
             else:
-                target = moved_target(sdir)
                 raise ServiceError(
                     ErrorCode.MOVED,
                     f"session {sid!r} moved to shard {target!r}",
                     moved=target,
                 )
         created = False
-        if os.path.isfile(cfg_path):
-            with open(cfg_path, encoding="utf-8") as fh:
-                stored = json.load(fh)
-            cfg = SessionConfig.from_mapping(stored)
+        if os.path.isfile(config_path(sdir)):
+            cfg = load_config(sdir)
             self._check_config(cfg, config_map)
         else:
             if not create:
@@ -749,8 +768,7 @@ class SessionManager:
                     f"no session {sid!r}; open it first",
                 )
             cfg = SessionConfig.from_mapping(config_map or {})
-            os.makedirs(sdir, exist_ok=True)
-            write_json_durable(cfg_path, cfg.to_dict())
+            store_config(sdir, cfg)
             created = True
         queue: "asyncio.Queue[_QueueItem]" = asyncio.Queue(maxsize=self.queue_depth)
         sess = Session(
@@ -1343,7 +1361,7 @@ class SessionManager:
 
     def _write_tombstone(self, sdir: str, target: str) -> None:
         try:
-            write_json_durable(os.path.join(sdir, _MOVED_FILE), {"target": target})
+            write_tombstone(sdir, target)
         except OSError as e:
             # Without a durable tombstone the seal did not happen; the
             # driver retries (both copies exist, the placement map still
@@ -1395,7 +1413,7 @@ class SessionManager:
         journal = self._journal(sess)
         applied = 0
         for line in lines:
-            rec = _decode_record(line)
+            rec = decode_record(line)
             if rec is None:
                 raise ServiceError(
                     ErrorCode.BAD_REQUEST, "undecodable replication record"

@@ -390,6 +390,30 @@ def test_tasks_sharing_a_client_survive_dropped_connections():
     run(main())
 
 
+def test_no_request_is_written_into_a_closing_transport(caplog):
+    """The server closes after every 7th line.  A request sent between
+    the transport closing and the reader task noticing would go into
+    the dead socket, and asyncio warns once such writes pile up; a
+    closing transport must count as down, so the call reconnects
+    first."""
+
+    async def main():
+        stub = await Stub(pong, drop_every=7).start()
+        policy = RetryPolicy(attempts=60, base=0.001, max_delay=0.01, seed=0)
+        async with AsyncServiceClient(port=stub.port, retry=policy) as c:
+
+            async def lane():
+                for _ in range(30):
+                    assert await c.ping() == {"pong": True}
+
+            await asyncio.wait_for(asyncio.gather(*(lane() for _ in range(16))), 30)
+        await stub.stop()
+
+    with caplog.at_level("WARNING", logger="asyncio"):
+        run(main())
+    assert not [r for r in caplog.records if "socket.send()" in r.getMessage()]
+
+
 def test_closed_client_never_reconnects():
     async def main():
         stub = await Stub(pong).start()

@@ -17,18 +17,20 @@ end-to-end properties:
 """
 
 import asyncio
+import os
 import random
 import time
 
 import pytest
 
 from repro import faults
+from repro.cli import main
 from repro.cluster.client import AsyncClusterClient, ClusterClient
 from repro.cluster.group import ShardGroup, ShardSpec
 from repro.cluster.placement import PlacementMap
 from repro.cluster.rebalance import REALLOC_FILE, ReallocationLedger
 from repro.obs.metrics import MetricsRegistry
-from repro.service.client import RetryPolicy
+from repro.service.client import RetryPolicy, ServiceClient
 from repro.service.protocol import ErrorCode, Request, ServiceError
 from repro.service.replica import Replicator, parse_targets
 from repro.service.server import ServiceServer
@@ -521,5 +523,33 @@ def test_failover_torture(tmp_path, scenario, fault):
         assert [r["session"] for r in rows] == [sid]
         assert rows[0]["from"] == "shard-0" and rows[0]["to"] == winner
         assert rows[0]["epoch"] == ev["epoch"]
+    finally:
+        group.stop()
+
+
+# ----------------------------------------------------------------------
+# Rebalancing a replicated cluster
+
+
+def test_rebalance_refuses_a_replicated_cluster(tmp_path):
+    """Migration moves only the primary's copy of a session, so the
+    source's replicas would keep the stale pre-move state; rebalance
+    refuses before it connects to a shard or writes anything."""
+    root = tmp_path / "cluster"
+    group = ShardGroup(str(root), 2, fsync="never", replicas=1)
+    specs = group.start()
+    try:
+        primary = next(s for s in specs if s.name == "shard-0")
+        with ServiceClient(primary.host, primary.port, timeout=10.0) as c:
+            for i in range(6):
+                c.open(f"s{i}")
+                c.insert(f"s{i}", "j", i + 1)
+        with pytest.raises(SystemExit) as ei:
+            main(["cluster", "rebalance", str(root), "--tolerance", "0.1"])
+        assert "replicated" in str(ei.value.code)
+        assert ReallocationLedger(str(root / REALLOC_FILE)).read() == []
+        assert not os.path.exists(root / "placement.json")
+        with ServiceClient(primary.host, primary.port, timeout=10.0) as c:
+            assert c.query("s0")["active"] == 1  # nothing moved
     finally:
         group.stop()
