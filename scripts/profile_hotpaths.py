@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Profile the hot paths (HPC workflow: measure before optimizing).
 
-Usage: python scripts/profile_hotpaths.py [scheduler|kcursor|pma|service] [--metrics]
+Usage: python scripts/profile_hotpaths.py [scheduler|kcursor|pma|service|evict] [--metrics]
 
 With ``--metrics`` the run is also instrumented through the obs layer
 (:mod:`repro.obs`): machine-model counters (``kcursor.*`` / ``sched.*`` /
@@ -17,11 +17,23 @@ flight each, after a warm-up.  It prints cProfile's total function calls
 per op (client and server share the one event loop, so both count): a
 deterministic work number that, unlike wall-clock time, does not move
 with the machine or its load.
+
+``evict`` measures the session cache-miss path on an in-process
+``SessionManager`` (``fsync=never``, a registry) fed through
+``dispatch`` (no sockets), in two shapes.  ``round-robin``: 6 p=4
+sessions over a 2-session cache take round-robin writes, so every op
+rehydrates its session and queues another's eviction.  ``bulk``: one
+p=4 session bulk-loaded with 1,000 jobs past a 2-job snapshot takes 40
+misses over a 1-session cache, 20 read-only and then 20 one-write.
+Each prints cProfile calls per op, checkpoints per eviction, and
+``decode_record`` calls and ``SingleServerScheduler`` builds per
+rehydration -- deterministic counts of the work a cache miss costs.
 """
 
 import asyncio
 import cProfile
 import io
+import os
 import pstats
 import random
 import sys
@@ -111,6 +123,124 @@ def profile_service() -> None:
         asyncio.run(main(root))
 
 
+def profile_evict() -> None:
+    from repro.obs import MetricsRegistry
+    from repro.service import SessionManager
+    from repro.service.protocol import Request
+
+    names = (
+        "service.evictions",
+        "service.journal.checkpoints",
+        "service.recovery.count",
+        "service.recovery.replayed",
+    )
+
+    async def measure(shape, manager, reg, ops, run) -> None:
+        """Profile ``run()`` (``ops`` dispatches) and print its counts."""
+        before = {name: reg.value(name) for name in names}
+        pr = cProfile.Profile()
+        pr.enable()
+        await run()
+        for sess in list(manager.sessions.values()):  # let evictions run
+            await sess.queue.join()
+        pr.disable()
+        delta = {name: reg.value(name) - before[name] for name in names}
+        await manager.shutdown()
+        stats = pstats.Stats(pr)
+
+        def calls_to(func: str, module: str) -> int:
+            return sum(
+                nc for (path, _, name), (_, nc, *_) in stats.stats.items()
+                if name == func and path.endswith(module)
+            )
+
+        decodes = calls_to("decode_record", os.path.join("service", "journal.py"))
+        builds = calls_to("__init__", os.path.join("core", "single.py"))
+        evictions = delta["service.evictions"]
+        rehydrations = delta["service.recovery.count"]
+        print(f"evict/{shape}: {stats.total_calls / ops:.1f} calls/op ({ops} ops, "
+              f"{evictions} evictions, {rehydrations} rehydrations)")
+        print(f"evict/{shape}: {delta['service.journal.checkpoints'] / evictions:.3f} "
+              f"checkpoints/eviction")
+        print(f"evict/{shape}: {decodes / rehydrations:.2f} decode_record "
+              f"calls/rehydration ({delta['service.recovery.replayed'] / rehydrations:.2f} "
+              f"records replayed)")
+        print(f"evict/{shape}: {builds / rehydrations:.2f} SingleServerScheduler "
+              f"builds/rehydration")
+
+    async def round_robin(root: str) -> None:
+        """6 p=4 sessions over a 2-session cache, every write a miss."""
+        sessions = [f"s{i}" for i in range(6)]
+        prefill, ops, keep = 24, 1200, 24
+        reg = MetricsRegistry()
+        manager = SessionManager(root, fsync="never", max_live=2, registry=reg)
+        active: dict[str, list[str]] = {sid: [] for sid in sessions}
+        made = dict.fromkeys(sessions, 0)
+
+        async def write(sid: str) -> None:
+            # Grow to ``keep`` jobs, then alternate delete and insert.
+            jobs, k = active[sid], made[sid]
+            made[sid] += 1
+            if len(jobs) >= keep and k % 2:
+                req = Request(op="delete", session=sid, name=jobs.pop(0))
+            else:
+                jobs.append(f"j{k}")
+                req = Request(op="insert", session=sid, name=f"j{k}", size=1 + k % 61)
+            await manager.dispatch(req)
+
+        for sid in sessions:
+            cfg = {"p": 4, "max_size": 64}
+            await manager.dispatch(Request(op="open", session=sid, config=cfg))
+        for _ in range(prefill):
+            for sid in sessions:
+                await write(sid)
+
+        async def run() -> None:
+            for k in range(ops):
+                await write(sessions[k % len(sessions)])
+
+        await measure("round-robin", manager, reg, ops, run)
+
+    async def bulk(root: str) -> None:
+        """A p=4 session bulk-loaded with 1,000 jobs past a 2-job
+        snapshot, then 40 misses over a 1-session cache: each a read of
+        another session that evicts it, then a touch of it, read-only
+        for the first 20 and one write for the last 20."""
+        reg = MetricsRegistry()
+        manager = SessionManager(root, fsync="never", max_live=1, registry=reg)
+        for sid in ("big", "other"):
+            cfg = {"p": 4, "max_size": 1024}
+            await manager.dispatch(Request(op="open", session=sid, config=cfg))
+        made = 0
+
+        async def insert() -> None:
+            nonlocal made
+            made += 1
+            await manager.dispatch(
+                Request(op="insert", session="big", name=f"j{made}", size=1 + made % 61)
+            )
+
+        for _ in range(2):
+            await insert()
+        await manager.dispatch(Request(op="snapshot", session="big"))
+        for _ in range(1000):
+            await insert()
+
+        async def run() -> None:
+            for k in range(40):
+                await manager.dispatch(Request(op="query", session="other"))
+                if k >= 20:
+                    await insert()
+                else:
+                    await manager.dispatch(Request(op="query", session="big"))
+
+        await measure("bulk", manager, reg, 80, run)
+
+    for shape in (round_robin, bulk):
+        with tempfile.TemporaryDirectory() as root:
+            asyncio.run(shape(root))
+
+
 TARGETS = {
     "scheduler": profile_scheduler,
     "kcursor": profile_kcursor,
@@ -124,6 +254,9 @@ def main() -> int:
     which = args[0] if args else "scheduler"
     if which == "service":
         profile_service()
+        return 0
+    if which == "evict":
+        profile_evict()
         return 0
     run, target = TARGETS[which]()
 

@@ -39,6 +39,7 @@ from repro import faults
 from repro.obs.logsetup import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.service.client import ServiceClient
+from repro.service.journal import LineScan, scan_lines
 
 log = get_logger("cluster")
 
@@ -116,13 +117,25 @@ def plan_rebalance(
     return moves
 
 
+def _ledger_row(text: str) -> Optional[dict[str, Any]]:
+    """One ledger line: a JSON object, else None."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError:
+        return None
+    return doc if isinstance(doc, dict) else None
+
+
 class ReallocationLedger:
     """Append-only JSONL record of cluster session moves.
 
     Each record carries the moved session's *volume* (total job volume
     at handoff) but no price: pricing is strictly after the fact via
     :meth:`price`, mirroring ``repro.core.events.Ledger`` -- the policy
-    that emitted the move never saw a cost function.
+    that emitted the move never saw a cost function.  The file is read
+    by the journal's line rule (:func:`repro.service.journal.scan_lines`):
+    a torn final row, which a crash mid-append leaves, is dropped; an
+    unparsable row with rows after it is damage for ``repro fsck``.
     """
 
     def __init__(self, path: str) -> None:
@@ -149,24 +162,54 @@ class ReallocationLedger:
         directory = os.path.dirname(self.path)
         if directory:
             os.makedirs(directory, exist_ok=True)
+        self._end_line()
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
             fh.flush()
             os.fsync(fh.fileno())
         return record
 
+    def _end_line(self) -> None:
+        """Make the next row start a line.  A ledger that does not end
+        in a newline was cut mid-append: a torn last row is cut off (as
+        ``repro fsck --repair`` would), a whole one gets its newline."""
+        try:
+            with open(self.path, "rb") as fh:
+                size = fh.seek(0, os.SEEK_END)
+                fh.seek(max(size - 1, 0))
+                if size == 0 or fh.read(1) == b"\n":
+                    return
+        except FileNotFoundError:
+            return
+        scan = self.scan()
+        if scan.bad_at is None:
+            with open(self.path, "ab") as fh:
+                fh.write(b"\n")
+        elif not scan.trailing:
+            log.warning("ledger %s: cut torn row at line %d", self.path, scan.bad_lineno)
+            os.truncate(self.path, scan.bad_at)
+
+    def scan(self) -> LineScan[dict[str, Any]]:
+        """The rows by the line rule, with any damage left for the
+        caller (fsck) to classify."""
+        return scan_lines(self.path, _ledger_row)
+
     def read(self) -> list[dict[str, Any]]:
+        """Every row.  A torn final row is dropped and logged; an
+        unparsable row followed by more rows raises ``ValueError``."""
         if not os.path.exists(self.path):
             return []
-        out: list[dict[str, Any]] = []
-        with open(self.path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    doc = json.loads(line)
-                    if isinstance(doc, dict):
-                        out.append(doc)
-        return out
+        scan = self.scan()
+        if scan.bad_at is not None:
+            if scan.trailing:
+                raise ValueError(
+                    f"{self.path}:{scan.bad_lineno}: unparsable ledger row "
+                    f"followed by more data (run repro fsck)"
+                )
+            log.warning(
+                "ledger %s: dropped torn row at line %d", self.path, scan.bad_lineno
+            )
+        return scan.records
 
     @staticmethod
     def price(

@@ -39,22 +39,34 @@ class ParallelScheduler:
     ) -> None:
         if p < 1:
             raise ValueError("p must be >= 1")
-        self.p = p
-        self.servers = [
-            SingleServerScheduler(
-                max_job_size,
-                epsilon=epsilon,
-                delta=delta,
-                dynamic=dynamic,
-                server=s,
-            )
-            for s in range(p)
-        ]
-        self.delta = self.servers[0].delta
-        self.classer: SizeClasser = self.servers[0].classer
+        self._adopt(
+            [
+                SingleServerScheduler(
+                    max_job_size,
+                    epsilon=epsilon,
+                    delta=delta,
+                    dynamic=dynamic,
+                    server=s,
+                )
+                for s in range(p)
+            ]
+        )
+
+    @classmethod
+    def from_servers(cls, servers: list[SingleServerScheduler]) -> "ParallelScheduler":
+        """A scheduler over already-built servers, with an empty ledger
+        and job map for the caller to fill (snapshot restore)."""
+        out = cls.__new__(cls)
+        out._adopt(servers)
+        return out
+
+    def _adopt(self, servers: list[SingleServerScheduler]) -> None:
+        self.p = len(servers)
+        self.servers = servers
+        self.delta = servers[0].delta
+        self.classer: SizeClasser = servers[0].classer
         self.ledger = Ledger()
         self._where: dict[Hashable, int] = {}
-        self._mig_seq = 0
 
     # ------------------------------------------------------------------
     # Introspection

@@ -155,13 +155,13 @@ def restore_single(snap: Snapshot) -> SingleServerScheduler:
     )
     # Grow the class table to the snapshot's width (dynamic schedulers may
     # have grown beyond what max_size implies for fresh construction).
+    # The chunk tree is complete: 2 * capacity - 1 chunks.
+    table = s.segments.table
     want_k = snap["params"]["k"]
-    if s.segments.table.capacity < want_k or len(snap["chunks"]) != sum(
-        1 for _ in s.segments.table.iter_chunks()
-    ):
-        while s.segments.table.k < want_k:
-            s.segments.table.append_district()
-    _apply_chunk_states(s.segments.table, snap["chunks"])
+    if table.capacity < want_k or len(snap["chunks"]) != 2 * table.capacity - 1:
+        while table.k < want_k:
+            table.append_district()
+    _apply_chunk_states(table, snap["chunks"])
     s.segments.volumes[: len(snap["volumes"])] = snap["volumes"]
     for lay, hint in zip(s.layouts, snap.get("scan_hints", [])):
         lay._scan_hint = hint
@@ -201,16 +201,15 @@ def snapshot_parallel(
 def restore_parallel(snap: Snapshot) -> ParallelScheduler:
     if snap.get("format") != FORMAT_VERSION or snap.get("kind") != "parallel":
         raise ValueError("not a version-1 parallel-scheduler snapshot")
-    first = snap["servers"][0]
-    out = ParallelScheduler(
-        snap["p"],
-        first["max_size"],
-        delta=first["delta"],
-        dynamic=first["dynamic"],
+    if snap["p"] < 1 or len(snap["servers"]) != snap["p"]:
+        raise ValueError(
+            f"snapshot has {len(snap['servers'])} servers for p={snap['p']}"
+        )
+    # Each server is built once, by its own restore.
+    out = ParallelScheduler.from_servers(
+        [restore_single(child) for child in snap["servers"]]
     )
-    out.servers = [restore_single(child) for child in snap["servers"]]
-    out.classer = out.servers[0].classer
-    out._where = {k: v for k, v in snap["where"].items()}
+    out._where = dict(snap["where"])
     ledger_state = snap.get("ledger")
     if ledger_state is not None:
         _apply_ledger_state(out.ledger, ledger_state)

@@ -44,7 +44,7 @@ from typing import Any, Callable, Optional, Sequence
 
 from repro.cluster.group import MANIFEST_FILE, ShardSpec, load_manifest
 from repro.cluster.placement import PLACEMENT_FILE, PlacementMap
-from repro.cluster.rebalance import REALLOC_FILE
+from repro.cluster.rebalance import REALLOC_FILE, ReallocationLedger
 from repro.obs.logsetup import get_logger
 from repro.service.image import (
     config_path,
@@ -64,7 +64,6 @@ from repro.service.journal import (
     fsync_dir,
     read_snapshot,
     replay_chain,
-    scan_lines,
     scan_segment,
     segment_files,
     snapshot_files,
@@ -265,14 +264,6 @@ def _unlink(path: str, rlog: _RepairLog, detail: str) -> None:
     os.unlink(path)
     fsync_dir(os.path.dirname(path) or ".")
     rlog.record("unlink", path, detail)
-
-
-def _ledger_record(text: str) -> Optional[dict[str, Any]]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError:
-        return None
-    return doc if isinstance(doc, dict) else None
 
 
 def scan_ownership(
@@ -477,7 +468,7 @@ def _scan_ledger(root: str, *, repair: bool, report: FsckReport) -> None:
     path = os.path.join(root, REALLOC_FILE)
     if not os.path.isfile(path):
         return
-    scan = scan_lines(path, _ledger_record)
+    scan = ReallocationLedger(path).scan()
     if scan.bad_at is None:
         return
     detail = f"line {scan.bad_lineno}: unparsable ledger record"

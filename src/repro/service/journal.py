@@ -61,7 +61,7 @@ import os
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Any, Callable, Generic, Optional, TypeVar
+from typing import Any, Callable, Generic, Iterable, Optional, TypeVar
 
 from repro import faults
 from repro.obs.logsetup import get_logger
@@ -144,6 +144,13 @@ def decode_record(line: str) -> Optional[JournalRecord]:
         return None
 
 
+def _encode_json(doc: Any) -> str:
+    """``doc`` as a snapshot or marker file holds it.  The same bytes as
+    ``json.dump(doc, fh, sort_keys=True)``, but ``json.dumps`` encodes
+    in C, where ``json.dump`` takes the pure-Python path."""
+    return json.dumps(doc, sort_keys=True)
+
+
 def fsync_dir(path: str) -> None:
     """Best-effort directory fsync (durable file creation/rename)."""
     try:
@@ -167,7 +174,7 @@ def write_json_durable(path: str, doc: Any) -> None:
     """
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
+        fh.write(_encode_json(doc))
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
@@ -308,9 +315,18 @@ def replay_chain(
 def durable_lsn(root: str, *, strict: bool = False) -> int:
     """Highest LSN on disk under ``root``: the last valid record, else
     the newest snapshot's.  ``strict`` as in :func:`scan_segment`."""
-    last = max((lsn for lsn, _ in snapshot_files(root)), default=0)
-    for _, path in segment_files(root):
-        for rec in scan_segment(path, strict=strict).records:
+    return _highest_lsn(
+        snapshot_files(root),
+        (scan_segment(path, strict=strict) for _, path in segment_files(root)),
+    )
+
+
+def _highest_lsn(
+    snaps: list[tuple[int, str]], scans: Iterable[LineScan[JournalRecord]]
+) -> int:
+    last = snaps[-1][0] if snaps else 0
+    for scan in scans:
+        for rec in scan.records:
             if rec.lsn > last:
                 last = rec.lsn
     return last
@@ -321,7 +337,9 @@ class Journal:
 
     A fresh segment is started on every open (never appending to a
     possibly-torn tail), named by the LSN of its first record, so the
-    segment list alone encodes the replay order.
+    segment list alone encodes the replay order.  Opening scans every
+    segment once; :meth:`recover` replays that scan rather than reading
+    the segments again.
     """
 
     def __init__(
@@ -355,7 +373,12 @@ class Journal:
         self._seg_records = 0
         self._since_fsync = 0
         os.makedirs(root, exist_ok=True)
-        self._lsn = durable_lsn(root, strict=True)
+        #: The open's segment scan, until :meth:`recover` consumes it or
+        #: the first roll or checkpoint makes it stale.
+        self._scans: Optional[list[LineScan[JournalRecord]]] = [
+            scan_segment(path, strict=True) for _, path in segment_files(root)
+        ]
+        self._lsn = _highest_lsn(snapshot_files(root), self._scans)
 
     # -- discovery -------------------------------------------------------
 
@@ -371,6 +394,13 @@ class Journal:
     @property
     def last_lsn(self) -> int:
         return self._lsn
+
+    @property
+    def tail(self) -> int:
+        """Records past the newest snapshot on disk: what the next
+        recovery replays."""
+        snaps = snapshot_files(self.root)
+        return self._lsn - (snaps[-1][0] if snaps else 0)
 
     def next_record(
         self, op: str, name: str, size: int, idem: Optional[str] = None
@@ -501,6 +531,7 @@ class Journal:
         advanced the scanned LSN), so truncating it is safe.
         """
         self.close()
+        self._scans = None
         plan = faults.ACTIVE
         if plan is not None:
             plan.hit("journal.roll.io")
@@ -531,7 +562,7 @@ class Journal:
             if plan is not None:
                 plan.hit("journal.checkpoint.io")
             with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(snapshot_doc, fh, sort_keys=True)
+                fh.write(_encode_json(snapshot_doc))
                 fh.flush()
                 if ot is not None:
                     t_f = time.perf_counter()
@@ -555,6 +586,7 @@ class Journal:
             self._fh = None
             self._seg_records = 0
             self._since_fsync = 0
+        self._scans = None
         for start, seg_path in segment_files(self.root):
             if start <= lsn:
                 os.unlink(seg_path)
@@ -588,7 +620,11 @@ class Journal:
                 break
             except (OSError, ValueError) as e:
                 log.warning("journal %s: unreadable snapshot %s (%s)", self.root, path, e)
-        scans = [scan_segment(path, strict=True) for _, path in segment_files(self.root)]
+        scans, self._scans = self._scans, None
+        if scans is None:
+            scans = [
+                scan_segment(path, strict=True) for _, path in segment_files(self.root)
+            ]
         tail, brk = replay_chain(scans, snap_lsn)
         if brk is not None:
             scan = scans[brk.segment]
@@ -614,6 +650,7 @@ class Journal:
     def stats(self) -> dict[str, int]:
         return {
             "last_lsn": self._lsn,
+            "tail": self.tail,
             "appends": self.appends,
             "fsyncs": self.fsyncs,
             "checkpoints": self.checkpoints,

@@ -9,10 +9,12 @@ asyncio event loop and provides the guarantees the protocol promises:
   task, so the journal order *is* the execution order -- the property
   recovery relies on.  Different sessions proceed concurrently.
 * **LRU eviction + lazy rehydration.**  At most ``max_live`` sessions
-  keep a scheduler in memory.  The least-recently-used one is
-  checkpointed (snapshot with ledger + journal truncation) and dropped;
-  the next operation on it recovers from disk transparently.  Eviction
-  rides the victim's own queue, so it serializes with in-flight ops.
+  keep a scheduler in memory.  The least-recently-used one is dropped,
+  after a checkpoint (snapshot with ledger + journal truncation) only
+  once its journal replays have cost as much as one
+  (:func:`checkpoint_due`); the next operation on it recovers from disk
+  transparently.  Eviction rides the victim's own queue, so it
+  serializes with in-flight ops.
   Eviction, migration, replica install and the degraded heal all move
   the same :class:`~repro.service.image.SessionImage`, through one
   checkpoint-and-drop step and one install step.
@@ -194,6 +196,19 @@ def _discard(outcome: Union[dict[str, Any], ServiceError]) -> None:
     and a failed checkpoint already flipped the session degraded."""
 
 
+def checkpoint_due(replayed: int, tail: int, jobs: int) -> bool:
+    """Whether an LRU eviction writes a checkpoint (docs/SERVICE.md,
+    "What an eviction writes").
+
+    ``replayed`` is what the session's rehydrations have replayed since
+    its last checkpoint and ``tail`` what the next one would replay, in
+    journal records.  The eviction checkpoints once their sum reaches the
+    smaller of one checkpoint's measured cost in replayed records,
+    ``16 + jobs // 20``, and the image's own size, ``max(1, jobs)``.
+    """
+    return replayed + tail >= min(max(1, jobs), 16 + jobs // 20)
+
+
 class Session:
     """One named scheduler plus its durability + serialization state."""
 
@@ -208,6 +223,7 @@ class Session:
         "touched",
         "ops",
         "last_recovery",
+        "replayed",
         "degraded",
         "dedup",
         "sweeper",
@@ -233,6 +249,9 @@ class Session:
         self.touched = 0
         self.ops = 0
         self.last_recovery: dict[str, Any] = {}
+        #: Journal records this session's rehydrations replayed since its
+        #: last checkpoint (the replay :func:`checkpoint_due` weighs).
+        self.replayed = 0
         #: Reason string while read-only (journal failure); None = healthy.
         self.degraded: Optional[str] = None
         self.dedup = DedupWindow(dedup_window)
@@ -1015,6 +1034,7 @@ class SessionManager:
             ) from e
         sess.dedup.load(info.pop("_dedup_entries", []))
         sess.scheduler, sess.journal, sess.last_recovery = sched, journal, info
+        sess.replayed += info["replayed"]
         sess.degraded = None
         if info["replayed"] or info["from_snapshot"]:
             log.info(
@@ -1054,7 +1074,7 @@ class SessionManager:
         for victim in candidates[:excess]:
             try:
                 victim.queue.put_nowait(
-                    (lambda v=victim: self._op_evict(v), _discard, None)
+                    (lambda v=victim: self._op_evict(v, lru=True), _discard, None)
                 )
             except asyncio.QueueFull:
                 continue  # busy session: not LRU for long; retry later
@@ -1207,10 +1227,15 @@ class SessionManager:
             lsn = self._journal(sess).checkpoint(doc)
         except OSError as e:
             raise self._degrade(sess, e) from e
+        sess.replayed = 0
         self._count_op(sess, "snapshot")
         return {"lsn": lsn, "active": len(sched)}
 
-    def _op_evict(self, sess: Session) -> dict[str, Any]:
+    def _op_evict(self, sess: Session, *, lru: bool = False) -> dict[str, Any]:
+        """Drop the session's scheduler from memory.  ``close`` and
+        ``shutdown`` checkpoint first; an LRU eviction (``lru``)
+        checkpoints only when :func:`checkpoint_due` says so, and
+        otherwise just closes the journal."""
         sched = sess.scheduler
         if sched is None:
             return {"evicted": False}
@@ -1228,6 +1253,18 @@ class SessionManager:
             sess.scheduler = None
             sess.journal = None
             res: dict[str, Any] = {"evicted": True, "degraded": True}
+        elif lru and not checkpoint_due(
+            sess.replayed, self._journal(sess).tail, len(sched)
+        ):
+            # The same write-ahead argument, while replaying the tail
+            # still costs less than a checkpoint.
+            try:
+                self._journal(sess).close()
+            except OSError as e:
+                raise self._degrade(sess, e) from e
+            sess.scheduler = None
+            sess.journal = None
+            res = {"evicted": True}
         else:
             res = {"evicted": True, "lsn": self._checkpoint_drop(sess, sched)[0]}
         reg = self.registry
@@ -1250,6 +1287,7 @@ class SessionManager:
             raise self._degrade(sess, e) from e
         sess.scheduler = None
         sess.journal = None
+        sess.replayed = 0
         return lsn, doc
 
     def _install(self, sess: Session, image: SessionImage) -> int:
@@ -1280,6 +1318,7 @@ class SessionManager:
         )
         sess.scheduler = image.sched
         sess.journal = journal
+        sess.replayed = 0
         sess.degraded = None
         sess.migrating = None
         return lsn

@@ -174,6 +174,33 @@ def test_reallocation_ledger_prices_after_the_fact(tmp_path):
     assert ReallocationLedger.price(records, lambda v: v) == 16.0
 
 
+def test_reallocation_ledger_survives_a_torn_final_row(tmp_path):
+    """A crash mid-append leaves a torn last row: reading drops it, the
+    next append starts a line of its own, and only damage with rows
+    after it is an error (fsck's ``ledger_torn`` repairs that)."""
+    path = str(tmp_path / "realloc.jsonl")
+    led = ReallocationLedger(path)
+    move = Migration(session="a", source="shard-0", target="shard-1", weight=1.0)
+    led.append(move, volume=3.0, epoch=1)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('{"kind": "migr')
+    assert led.summary() == {"migrations": 1, "volume": 3.0}
+    led.append(move, volume=4.0, epoch=2)
+    led.append(move, volume=5.0, epoch=3)
+    assert [r["epoch"] for r in led.read()] == [1, 2, 3]
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('{"kind": "migrate", "volume": 1.0}')  # whole, no newline
+    led.append(move, volume=6.0, epoch=4)
+    assert led.summary() == {"migrations": 5, "volume": 19.0}
+    with open(path, encoding="utf-8") as fh:
+        rows = fh.read().splitlines()
+    rows[1] = "garbage"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match=r"realloc.jsonl:2: .*followed by more data"):
+        led.read()
+
+
 # ----------------------------------------------------------------------
 # MOVED on the wire
 

@@ -266,7 +266,7 @@ def test_replicated_writes_of_different_sessions_overlap(tmp_path):
 def test_answer_is_written_before_the_victims_eviction(tmp_path):
     """With ``max_live=1``, an insert that rehydrates session ``a``
     queues ``b``'s eviction; the insert's answer must not wait for that
-    checkpoint."""
+    eviction."""
     fired = []
 
     async def main():
@@ -281,7 +281,7 @@ def test_answer_is_written_before_the_victims_eviction(tmp_path):
                     await asyncio.sleep(0.01)
                 faults.set_fire_observer(lambda point, kind: fired.append(point))
                 faults.activate(faults.parse_plan(
-                    "server.conn.write=delay:0;journal.checkpoint.io=delay:0"
+                    "server.conn.write=delay:0;sessions.evict=delay:0"
                 ))
                 await c.insert("a", "j1", 2)  # rehydrates a, evicts b
                 while manager.sessions["b"].live:
@@ -292,7 +292,7 @@ def test_answer_is_written_before_the_victims_eviction(tmp_path):
             await srv.stop()
 
     run(main())
-    assert fired[:2] == ["server.conn.write", "journal.checkpoint.io"], fired
+    assert fired[:2] == ["server.conn.write", "sessions.evict"], fired
 
 
 # ----------------------------------------------------------------------
