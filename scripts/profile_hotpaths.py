@@ -18,6 +18,14 @@ per op (client and server share the one event loop, so both count): a
 deterministic work number that, unlike wall-clock time, does not move
 with the machine or its load.
 
+``scheduler`` then profiles the ``planner`` shape: a scheduler from
+``repro.service.image.build_scheduler`` (Delta = 65,536, delta = 0.5)
+prefilled with 4,096 jobs, then 19,200 requests, half inserts and half
+deletes of a uniformly chosen live job, all seeded here.  It prints
+cProfile calls per request, ``district_extent`` and ``ClassLayout.evicted``
+calls per request, and how many per-op reports the scheduler's ledger
+retains: deterministic counts of the kernel's work per op.
+
 ``evict`` measures the session cache-miss path on an in-process
 ``SessionManager`` (``fsync=never``, a registry) fed through
 ``dispatch`` (no sockets), in two shapes.  ``round-robin``: 6 p=4
@@ -33,6 +41,7 @@ rehydration -- deterministic counts of the work a cache miss costs.
 import asyncio
 import cProfile
 import io
+import math
 import os
 import pstats
 import random
@@ -48,6 +57,62 @@ def profile_scheduler():
     trace = generators.mixed(6000, 1024, seed=0)
     sched = SingleServerScheduler(1024, delta=0.5)
     return lambda: replay(trace, sched), sched
+
+
+def _calls_to(stats: pstats.Stats, func: str, module: str) -> int:
+    """Calls cProfile counted to ``func`` defined in a file ending ``module``."""
+    return sum(
+        nc for (path, _, name), (_, nc, *_) in stats.stats.items()
+        if name == func and path.endswith(module)
+    )
+
+
+def profile_planner_shape() -> None:
+    from repro.service.image import build_scheduler
+    from repro.service.protocol import SessionConfig
+
+    max_size, prefill, ops = 65536, 4096, 19_200
+    rng = random.Random(0)
+    live: list[str] = []
+    made = 0
+
+    def size() -> int:  # log-uniform on [1, max_size]: every class gets a share
+        return max(1, min(max_size, int(math.exp(rng.uniform(0.0, math.log(max_size + 1))))))
+
+    def insert() -> tuple[str, str, int]:
+        nonlocal made
+        made += 1
+        live.append(f"j{made}")
+        return ("insert", live[-1], size())
+
+    def delete() -> tuple[str, str, int]:
+        k = rng.randrange(len(live))
+        live[k], live[-1] = live[-1], live[k]
+        return ("delete", live.pop(), 0)
+
+    first = [insert() for _ in range(prefill)]
+    reqs = [insert() if not live or rng.random() < 0.5 else delete() for _ in range(ops)]
+    sched = build_scheduler(SessionConfig.from_mapping({"max_size": max_size, "delta": 0.5}))
+    for _, name, w in first:
+        sched.insert(name, w)
+    pr = cProfile.Profile()
+    pr.enable()
+    for op, name, w in reqs:
+        if op == "insert":
+            sched.insert(name, w)
+        else:
+            sched.delete(name)
+    pr.disable()
+    stats = pstats.Stats(pr)
+    extents = _calls_to(stats, "district_extent", os.path.join("kcursor", "table.py"))
+    evicted = _calls_to(stats, "evicted", os.path.join("core", "placement.py"))
+    reports = sched.ledger.reports
+    print(f"scheduler/planner: {stats.total_calls / ops:.1f} calls/op ({ops} requests "
+          f"after a {prefill}-job prefill)")
+    print(f"scheduler/planner: {extents / ops:.2f} district_extent calls/op, "
+          f"{evicted / ops:.2f} ClassLayout.evicted calls/op")
+    print(f"scheduler/planner: {len(reports) if reports is not None else 0} "
+          f"per-op reports retained by the ledger")
 
 
 def profile_kcursor():
@@ -148,14 +213,8 @@ def profile_evict() -> None:
         await manager.shutdown()
         stats = pstats.Stats(pr)
 
-        def calls_to(func: str, module: str) -> int:
-            return sum(
-                nc for (path, _, name), (_, nc, *_) in stats.stats.items()
-                if name == func and path.endswith(module)
-            )
-
-        decodes = calls_to("decode_record", os.path.join("service", "journal.py"))
-        builds = calls_to("__init__", os.path.join("core", "single.py"))
+        decodes = _calls_to(stats, "decode_record", os.path.join("service", "journal.py"))
+        builds = _calls_to(stats, "__init__", os.path.join("core", "single.py"))
         evictions = delta["service.evictions"]
         rehydrations = delta["service.recovery.count"]
         print(f"evict/{shape}: {stats.total_calls / ops:.1f} calls/op ({ops} ops, "
@@ -286,6 +345,8 @@ def main() -> int:
 
         attachment.detach()
         print(format_snapshot(registry.snapshot(), title=f"metrics ({which}):"))
+    if which == "scheduler":
+        profile_planner_shape()
     return 0
 
 

@@ -46,7 +46,11 @@ class PMASegmentManager:
     def _prefix(self, j: int) -> int:
         return sum(self.counts[:j])
 
-    def apply_volume_change(self, j: int, dv: int) -> None:
+    def apply_volume_change(self, j: int, dv: int) -> range:
+        """Sync class ``j``'s element count as the k-cursor manager does.
+
+        PMA rebalances are *not* one-directional: an update in class ``j``
+        can shift earlier classes too, so every class may have moved."""
         v = self.volumes[j] + dv
         if v < 0:
             raise ValueError(f"class {j} volume would go negative")
@@ -61,6 +65,7 @@ class PMASegmentManager:
             end_rank -= 1
             self.pma.delete(end_rank)
             self.counts[j] -= 1
+        return range(self._k)
 
     def extent(self, j: int) -> tuple[int, int]:
         if self.counts[j] == 0:
@@ -112,11 +117,3 @@ class PMABackedScheduler(SingleServerScheduler):
     @property
     def substrate_counter(self):
         return self.segments.pma.counter
-
-    # PMA rebalances are *not* one-directional: an update in class j can
-    # shift earlier classes too, so every class must be checked.
-    def _insert_repair_order(self, j: int):
-        return range(self.num_classes - 1, -1, -1)
-
-    def _delete_repair_order(self, j: int):
-        return range(self.num_classes)

@@ -72,9 +72,11 @@ class Ledger:
     """Streaming aggregation of allocation/reallocation events.
 
     Holds only histograms (size -> count), so pricing an arbitrary cost
-    function afterwards is O(#distinct sizes); optionally keeps the full
-    per-op report list for fine-grained series (enabled by default, cheap
-    for the trace lengths we use).
+    function afterwards is O(#distinct sizes), plus the last committed
+    report (:attr:`last`).  Optionally keeps the full per-op report list
+    for fine-grained series (enabled by default, cheap for the trace
+    lengths we use; long-lived service schedulers turn it off, see
+    :func:`repro.service.image.build_scheduler`).
     """
 
     def __init__(self, keep_reports: bool = True) -> None:
@@ -86,6 +88,8 @@ class Ledger:
         self.deletes = 0
         self.total_migrations = 0
         self.reports: Optional[list[OpReport]] = [] if keep_reports else None
+        #: The most recently committed report, kept with or without the series.
+        self.last: Optional[OpReport] = None
         self._open: Optional[OpReport] = None
         # Optional obs hook (repro.obs.instrument.LedgerObserver); None =
         # uninstrumented, costing one attribute test per request.
@@ -124,6 +128,7 @@ class Ledger:
         for ev in op.events:
             if ev.kind is ReallocKind.MIGRATE:
                 self.migrate_hist[ev.size] = self.migrate_hist.get(ev.size, 0) + 1
+        self.last = op
         if self.reports is not None:
             self.reports.append(op)
         if self.observer is not None:

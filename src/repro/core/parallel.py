@@ -61,6 +61,11 @@ class ParallelScheduler:
         return out
 
     def _adopt(self, servers: list[SingleServerScheduler]) -> None:
+        # A child's ops are copied into this scheduler's ledger as they
+        # commit; only its last report is ever read (_replay_child), so
+        # children keep no per-op series.
+        for sched in servers:
+            sched.ledger.reports = None
         self.p = len(servers)
         self.servers = servers
         self.delta = servers[0].delta
@@ -157,6 +162,7 @@ class ParallelScheduler:
                 delta=first.delta,
                 dynamic=first.dynamic,
                 server=s,
+                ledger=Ledger(keep_reports=False),
             )
         )
         self.p += 1
@@ -259,8 +265,8 @@ class ParallelScheduler:
         as a (migrating) reallocation rather than a fresh allocation;
         its REMOVE on the donor is dropped.
         """
-        child = self.servers[server].ledger
-        report = child.reports[-1]
+        report = self.servers[server].ledger.last
+        assert report is not None  # the child just committed an op
         for ev in report.events:
             kind = ev.kind
             if ev.name == migrated and kind is ReallocKind.PLACE:

@@ -113,13 +113,11 @@ class ClassLayout:
     def _overlapping_range(self, lo: int, hi: int) -> tuple[int, int]:
         """Index range [i0, i1) of jobs intersecting ``[lo, hi)`` (jobs are
         disjoint and sorted, so overlappers are contiguous)."""
-        i = bisect_left(self._starts, lo)
+        starts = self._starts
+        i = bisect_left(starts, lo)
         if i > 0 and self._jobs[i - 1].end > lo:
             i -= 1
-        j = i
-        while j < len(self._jobs) and self._jobs[j].start < hi:
-            j += 1
-        return i, j
+        return i, bisect_left(starts, hi, i)
 
     def overlapping(self, lo: int, hi: int) -> list[PlacedJob]:
         """Jobs intersecting ``[lo, hi)`` (bisected; jobs are disjoint)."""
@@ -128,7 +126,15 @@ class ClassLayout:
 
     def occupied_in(self, lo: int, hi: int) -> int:
         """Total job volume overlapping ``[lo, hi)``."""
-        return sum(min(pj.end, hi) - max(pj.start, lo) for pj in self.overlapping(lo, hi))
+        i, j = self._overlapping_range(lo, hi)
+        jobs = self._jobs
+        total = 0
+        for k in range(i, j):
+            pj = jobs[k]
+            start = pj.start
+            end = start + pj.job.size
+            total += (end if end < hi else hi) - (start if start > lo else lo)
+        return total
 
     # ------------------------------------------------------------------
     # Placement

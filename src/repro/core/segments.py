@@ -48,6 +48,17 @@ class SegmentManager:
         )
         self.volumes = [0] * num_classes
 
+    @classmethod
+    def from_table(
+        cls, table: KCursorSparseTable, delta: float, volumes: list[int]
+    ) -> "SegmentManager":
+        """A manager over an already-built table (a snapshot restore)."""
+        out = cls.__new__(cls)
+        out.delta = delta
+        out.table = table
+        out.volumes = volumes
+        return out
+
     @property
     def num_classes(self) -> int:
         return self.table.k
@@ -56,9 +67,15 @@ class SegmentManager:
         """Allocated space for a class of volume V: floor(V * (1+delta))."""
         return int(volume * (1.0 + self.delta) + 1e-9)
 
-    def apply_volume_change(self, j: int, dv: int) -> None:
+    def apply_volume_change(self, j: int, dv: int) -> range:
         """Add ``dv`` (may be negative) to class ``j``'s volume and sync the
-        district's element count to the new target."""
+        district's element count to the new target.
+
+        Returns the classes whose segment may have moved, in increasing
+        order: ``j`` through the end of the subtree the table's rebuild
+        cascade reached (:meth:`KCursorSparseTable.extend`), or none when
+        the element count stayed the same.  No other segment moved.
+        """
         v = self.volumes[j] + dv
         if v < 0:
             raise ValueError(f"class {j} volume would go negative")
@@ -66,9 +83,10 @@ class SegmentManager:
         want = self.target(v)
         have = self.table.district_len(j)
         if want > have:
-            self.table.extend(j, want - have)
-        elif want < have:
-            self.table.shrink(j, have - want)
+            return range(j, self.table.extend(j, want - have))
+        if want < have:
+            return range(j, self.table.shrink(j, have - want))
+        return range(j, j)
 
     def extent(self, j: int) -> tuple[int, int]:
         return self.table.district_extent(j)

@@ -9,8 +9,10 @@ looking at f*.
 Operation per request (insertion; deletions mirror it):
 
 1. update the class volume ``V(j)`` and sync district ``j`` of the
-   k-cursor table to ``floor(V(j)(1+delta))`` elements;
-2. read the (possibly moved) district boundaries -- *no jobs moved yet*;
+   k-cursor table to ``floor(V(j)(1+delta))`` elements; the table reports
+   which districts its rebuild cascade can have moved (``j`` through the
+   subtree the cascade reached, docs/INTERNALS.md section 4);
+2. read those classes' (possibly moved) boundaries -- *no jobs moved yet*;
 3. collect jobs now overlapping lost slots (outside their class's new
    segment), largest class first;
 4. re-place each within its own segment (Claim 2's procedure,
@@ -23,7 +25,7 @@ obliviousness is structural, see :mod:`repro.core.events`).
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Optional
+from typing import Hashable, Iterable, Optional, Sequence
 
 from repro.core.events import Ledger, ReallocKind
 from repro.core.jobs import Job, PlacedJob, SizeClasser
@@ -61,6 +63,7 @@ class SingleServerScheduler:
         ledger: Optional[Ledger] = None,
         tau_factor: Optional[int] = None,
         padding_enabled: bool = True,
+        _segments: Optional[SegmentManager] = None,
     ) -> None:
         if delta is None:
             eps = 0.5 if epsilon is None else epsilon
@@ -74,7 +77,9 @@ class SingleServerScheduler:
         self.dynamic = dynamic
         self.classer = SizeClasser(delta, max_job_size)
         k = self.classer.num_classes
-        self.segments = SegmentManager(
+        # A snapshot restore hands over segments it built from its own
+        # chunk states (repro.core.snapshot), so no tree is built twice.
+        self.segments = _segments if _segments is not None else SegmentManager(
             k,
             delta,
             tau_mode="local" if dynamic else "global",
@@ -87,6 +92,13 @@ class SingleServerScheduler:
         ]
         self.ledger = ledger if ledger is not None else Ledger()
         self._jobs: dict[Hashable, PlacedJob] = {}
+        # Classes that may hold a job outside their segment after the last
+        # request.  A repair can leave one there: Claim 2's compaction
+        # treats an evicted job that is not re-placed yet as a member and
+        # stretches the region over it, past the segment's edge.  Every
+        # request on a class at or below such a class repairs it again, as
+        # when every class from j up was checked on each request.
+        self._outside: set[int] = set()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -130,11 +142,12 @@ class SingleServerScheduler:
         j = self.classer.class_of(size)
         self.ledger.begin("insert", name, size)
         try:
-            self.segments.apply_volume_change(j, size)
-            # Boundaries of classes >= j may have moved (one-directional
-            # rebalances guarantee classes < j are untouched).
-            self._repair(self._insert_repair_order(j))
-            placed = self._place(job, j)
+            moved = self.segments.apply_volume_change(j, size)
+            # Only the classes the segment manager reports as moved, and
+            # any left holding a job outside their segment, can have lost
+            # slots; repair them largest first.
+            seg = self._repair(reversed(self._to_repair(moved, j)), j)
+            placed = self._place(job, j, seg)
             self.ledger.record(name, size, ReallocKind.PLACE)
             self._jobs[name] = placed
         except BaseException:
@@ -164,9 +177,9 @@ class SingleServerScheduler:
         try:
             self.layouts[j].remove(placed)
             self.ledger.record(name, placed.size, ReallocKind.REMOVE)
-            self.segments.apply_volume_change(j, -placed.size)
+            moved = self.segments.apply_volume_change(j, -placed.size)
             # Deletions repair from the smallest affected class upward.
-            self._repair(self._delete_repair_order(j))
+            self._repair(self._to_repair(moved, j), j)
         except BaseException:
             self.ledger.abort()
             raise
@@ -176,31 +189,67 @@ class SingleServerScheduler:
     # ------------------------------------------------------------------
     # Internals
 
-    def _insert_repair_order(self, j: int) -> Iterable[int]:
-        """Classes to repair after inserting into class ``j``, largest
-        first.  The k-cursor's one-directionality means classes < j never
-        move; substrates without that property override this."""
-        return range(self.num_classes - 1, j - 1, -1)
+    def _to_repair(self, moved: range, j: int) -> Sequence[int]:
+        """Classes a request on class ``j`` must check, smallest first:
+        those whose segment moved, and any class from ``j`` up that may
+        still hold a job outside its segment."""
+        if not self._outside:
+            return moved
+        return sorted(set(moved).union(c for c in self._outside if c >= j))
 
-    def _delete_repair_order(self, j: int) -> Iterable[int]:
-        return range(j, self.num_classes)
+    def _repair(
+        self, class_order: Iterable[int], j: int
+    ) -> Optional[tuple[int, int]]:
+        """Re-place every job overlapping lost slots of its class.
 
-    def _repair(self, class_order: Iterable[int]) -> None:
-        """Re-place every job overlapping lost slots of its class."""
+        A class whose segment did not move and that held no job outside it
+        cannot have lost slots, so the caller passes only the others
+        (:meth:`_to_repair`).  Returns class ``j``'s segment if it was read
+        on the way (for :meth:`_place`).
+        """
+        seg_j = None
+        outside = self._outside
         for jj in class_order:
             layout = self.layouts[jj]
             if len(layout) == 0:
+                if outside:
+                    outside.discard(jj)
                 continue
             seg = self.segments.extent(jj)
-            for pj in layout.evicted(seg):
-                layout.remove(pj)
-                new_pj = layout.place(pj.job, seg, on_move=self._on_move, server=self.server)
-                self._jobs[pj.name] = new_pj
-                self.ledger.record(pj.name, pj.size, ReallocKind.MOVE)
+            if jj == j:
+                seg_j = seg
+            evicted = layout.evicted(seg)
+            if evicted:
+                for pj in evicted:
+                    layout.remove(pj)
+                    new_pj = layout.place(pj.job, seg, on_move=self._on_move, server=self.server)
+                    self._jobs[pj.name] = new_pj
+                    self.ledger.record(pj.name, pj.size, ReallocKind.MOVE)
+                if layout.evicted(seg):
+                    outside.add(jj)
+                    continue
+            if outside:
+                outside.discard(jj)
+        return seg_j
 
-    def _place(self, job: Job, j: int) -> PlacedJob:
-        seg = self.segments.extent(j)
-        return self.layouts[j].place(job, seg, on_move=self._on_move, server=self.server)
+    def _place(self, job: Job, j: int, seg: Optional[tuple[int, int]]) -> PlacedJob:
+        if seg is None:
+            seg = self.segments.extent(j)
+        layout = self.layouts[j]
+        placed = layout.place(job, seg, on_move=self._on_move, server=self.server)
+        # Placing into a class whose jobs all lie in its segment keeps them
+        # there; only a class a repair left outside needs another look.
+        if j in self._outside and not layout.evicted(seg):
+            self._outside.discard(j)
+        return placed
+
+    def _find_outside(self) -> None:
+        """Recompute :attr:`_outside` from scratch (after a restore)."""
+        self._outside = {
+            j
+            for j, layout in enumerate(self.layouts)
+            if len(layout) and layout.evicted(self.segments.extent(j))
+        }
 
     def _on_move(self, pj: PlacedJob) -> None:
         self.ledger.record(pj.name, pj.size, ReallocKind.MOVE)

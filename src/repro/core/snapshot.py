@@ -23,12 +23,15 @@ captured (it restarts at the snapshot point): histograms are what
 from __future__ import annotations
 
 import json
-from typing import Any, cast
+from typing import Any, Optional, cast
 
 from repro.core.events import Ledger
-from repro.core.jobs import Job, PlacedJob
+from repro.core.jobs import Job, PlacedJob, SizeClasser
 from repro.core.parallel import ParallelScheduler
+from repro.core.segments import SegmentManager
 from repro.core.single import SingleServerScheduler
+from repro.kcursor.chunk import Chunk
+from repro.kcursor.params import Params, _ceil_lg
 from repro.kcursor.table import KCursorSparseTable
 
 FORMAT_VERSION = 1
@@ -56,16 +59,28 @@ def _chunk_states(table: KCursorSparseTable) -> list[dict[str, Any]]:
     return out
 
 
-def _apply_chunk_states(table: KCursorSparseTable, states: list[dict[str, Any]]) -> None:
-    chunks = list(table.iter_chunks())
-    if len(chunks) != len(states):
-        raise ValueError(
-            f"snapshot has {len(states)} chunks; rebuilt tree has {len(chunks)}"
-        )
-    n = 0
-    for c, st in zip(chunks, states):
-        if (c.level, c.index) != (st["level"], st["index"]):
+def _tree_from_states(
+    states: list[dict[str, Any]], height: int
+) -> tuple[Chunk, list[Chunk]]:
+    """The complete chunk tree of the given height that a snapshot's
+    preorder ``states`` describe, built in one pass; returns
+    ``(root, leaves)``."""
+    want = (2 << height) - 1
+    if len(states) != want:
+        raise ValueError(f"snapshot has {len(states)} chunks; rebuilt tree has {want}")
+    root: Optional[Chunk] = None
+    leaves: list[Chunk] = []
+    waiting: list[Chunk] = []  # internal chunks still missing a child
+    for st in states:
+        parent = waiting[-1] if waiting else None
+        if parent is None:
+            level, index = height, 0
+        else:
+            level = parent.level - 1
+            index = 2 * parent.index + (parent.left is not None)
+        if (st["level"], st["index"]) != (level, index):
             raise ValueError("chunk tree shape mismatch")
+        c = Chunk(level, index, parent)
         c.buffered = st["buffered"]
         c.buf = st["buf"]
         c.gaps = st["gaps"]
@@ -73,9 +88,20 @@ def _apply_chunk_states(table: KCursorSparseTable, states: list[dict[str, Any]])
         c.count = st["count"]
         c.S = st["S"]
         c.it = st["it"]
-        if c.is_leaf:
-            n += c.count
-    table._n = n
+        if parent is None:
+            root = c
+        elif parent.left is None:
+            parent.left = c
+        else:
+            parent.right = c
+            c.is_right_child = True
+            waiting.pop()
+        if level:
+            waiting.append(c)
+        else:
+            leaves.append(c)
+    assert root is not None  # want >= 1 states were read
+    return root, leaves
 
 
 def _ledger_state(led: Ledger) -> dict[str, Any]:
@@ -144,25 +170,38 @@ def _snapshot_single_base(s: SingleServerScheduler) -> Snapshot:
 
 
 def restore_single(snap: Snapshot) -> SingleServerScheduler:
+    """The scheduler a :func:`snapshot_single` doc describes.  Its chunk
+    tree is built once, straight from the snapshot's states."""
     if snap.get("format") != FORMAT_VERSION or snap.get("kind") != "single":
         raise ValueError("not a version-1 single-scheduler snapshot")
+    delta = snap["delta"]
+    dynamic = snap["dynamic"]
+    k = SizeClasser(delta, snap["max_size"]).num_classes
+    params = Params.from_delta(k, delta)
+    # A dynamic (local-tau) table covers the snapshot's width too: past
+    # max_size's classes it has grown a level per doubling
+    # (append_district).  The chunk tree is complete: 2 * capacity - 1
+    # chunks.
+    want_k = snap["params"]["k"]
+    height = max(params.H, _ceil_lg(want_k)) if dynamic else params.H
+    root, leaves = _tree_from_states(snap["chunks"], height)
+    table = KCursorSparseTable.from_tree(
+        root,
+        leaves,
+        params=params,
+        tau_mode="local" if dynamic else "global",
+        k=max(k, want_k),
+    )
+    volumes = [0] * k
+    volumes[: len(snap["volumes"])] = snap["volumes"]
     s = SingleServerScheduler(
         snap["max_size"],
-        delta=snap["delta"],
-        dynamic=snap["dynamic"],
+        delta=delta,
+        dynamic=dynamic,
         server=snap["server"],
         padding_enabled=snap["padding_enabled"],
+        _segments=SegmentManager.from_table(table, delta, volumes),
     )
-    # Grow the class table to the snapshot's width (dynamic schedulers may
-    # have grown beyond what max_size implies for fresh construction).
-    # The chunk tree is complete: 2 * capacity - 1 chunks.
-    table = s.segments.table
-    want_k = snap["params"]["k"]
-    if table.capacity < want_k or len(snap["chunks"]) != 2 * table.capacity - 1:
-        while table.k < want_k:
-            table.append_district()
-    _apply_chunk_states(table, snap["chunks"])
-    s.segments.volumes[: len(snap["volumes"])] = snap["volumes"]
     for lay, hint in zip(s.layouts, snap.get("scan_hints", [])):
         lay._scan_hint = hint
     for rec in snap["jobs"]:
@@ -174,6 +213,7 @@ def restore_single(snap: Snapshot) -> SingleServerScheduler:
         )
         s._jobs[pj.name] = pj
         s.layouts[pj.klass].add(pj)
+    s._find_outside()
     ledger_state = snap.get("ledger")
     if ledger_state is not None:
         _apply_ledger_state(s.ledger, ledger_state)

@@ -88,16 +88,43 @@ class KCursorSparseTable:
     ) -> None:
         if tau_mode not in ("global", "local"):
             raise ValueError(f"tau_mode must be 'global' or 'local', got {tau_mode!r}")
-        self.params = params if params is not None else Params.from_delta(k, delta)
-        self.params.validate()
+        params = params if params is not None else Params.from_delta(k, delta)
+        params.validate()
+        root, leaves = build_tree(params.H)
+        self._setup(params, tau_mode, root, leaves, params.k, gaps_enabled, track_values)
+        self._assign_inv_tau(root)
+
+    @classmethod
+    def from_tree(
+        cls, root: Chunk, leaves: list[Chunk], *, params: Params, tau_mode: str, k: int
+    ) -> "KCursorSparseTable":
+        """A positional table over ``k`` districts of a complete chunk tree
+        whose every chunk field, ``it`` included, is already set (a
+        snapshot restore): nothing is rebuilt or reassigned."""
+        out = cls.__new__(cls)
+        out._setup(params, tau_mode, root, leaves, k, True, False)
+        out._n = sum(leaf.count for leaf in leaves)
+        return out
+
+    def _setup(
+        self,
+        params: Params,
+        tau_mode: str,
+        root: Chunk,
+        leaves: list[Chunk],
+        k: int,
+        gaps_enabled: bool,
+        track_values: bool,
+    ) -> None:
+        self.params = params
         self.tau_mode = tau_mode
         self.gaps_enabled = gaps_enabled
-        self._k = self.params.k
-        self._height = self.params.H
-        self._root, self._leaves = build_tree(self._height)
-        self._assign_inv_tau(self._root)
+        self._k = k
+        self._height = root.level
+        self._root = root
+        self._leaves = leaves
         self._values: Optional[list[list[Any]]] = (
-            [[] for _ in range(len(self._leaves))] if track_values else None
+            [[] for _ in range(len(leaves))] if track_values else None
         )
         self._n = 0
         self.counter = CostCounter()
@@ -173,13 +200,29 @@ class KCursorSparseTable:
         Empty districts yield a zero-length interval at their position.
         Higher-level gaps interleaved inside the interval are counted in
         its length (they are empty schedule slack for the scheduler).
+        Both ends come from one upward walk (:meth:`_abs_pos` of the first
+        and the last element, side by side).
         """
         leaf = self._leaf(j)
-        start = self._abs_pos(leaf, 0)
-        if leaf.count == 0:
-            return (start, start)
-        end = self._abs_pos(leaf, leaf.count - 1) + 1
-        return (start, end)
+        count = leaf.count
+        first = 0
+        last = count - 1 if count else 0
+        node = leaf
+        p = node.parent
+        while p is not None:
+            if node.is_right_child:
+                assert p.left is not None  # internal chunks have both children
+                s_left = p.left.S
+                if p.gaps:
+                    it = p.it
+                    first += s_left + p.gaps_before_slot(first, it)
+                    last += s_left + p.gaps_before_slot(last, it)
+                else:
+                    first += s_left
+                    last += s_left
+            node = p
+            p = node.parent
+        return (first, last + 1) if count else (first, first)
 
     def district_extents(self) -> list[tuple[int, int]]:
         return [self.district_extent(j) for j in range(self._k)]
@@ -257,26 +300,45 @@ class KCursorSparseTable:
         if obs is not None:
             obs.after_op(self, op, 1)
 
-    def extend(self, j: int, m: int) -> None:
+    def extend(self, j: int, m: int) -> int:
         """Append ``m`` anonymous elements to district ``j`` in one batch.
 
         Semantically identical to ``m`` INSERTs; the leaf requests all
         ``m`` slots in a single rebuild cascade (amortized cost can only
         be lower), which is how the scheduler syncs a whole job's volume
         at once.  Counted as ``m`` operations.
+
+        Returns the end of the moved range: only districts ``j`` up to,
+        not including, the returned index can have changed their extent.
+        With no rebuild only ``j`` itself changed.  Otherwise the range
+        ends with the last leaf under the parent ``P`` of the highest chunk
+        rebuilt: rebuilds move district boundaries one way (Theorem 19), so
+        nothing left of ``j`` moves, and a rebuild of chunk ``c`` changes
+        ``S(c)`` and ``P``'s gaps and buffer but not ``S(P)`` -- the slots
+        ``c`` takes from or returns to ``P`` exactly balance its growth or
+        shrink and the gap change (:meth:`_grow`, :meth:`_return_slots`) --
+        so no slot outside ``P``'s subtree moves.  A rebuilt root reaches
+        every district (its "parent" would cover twice the capacity).
         """
         if m <= 0:
             if m < 0:
                 raise ValueError("m must be >= 0")
-            return
+            return j
         leaf = self._leaf(j)
         obs = self._observer
         if obs is not None:
             obs.before_op(self, "insert", j)
         op = OpStats(kind="insert", district=j)
         self._op = op
+        end = j + 1
         if leaf.buf < m:
             self._grow(leaf, m)
+            # A chunk's record follows its parent's (the parent grows
+            # first), so the first record is the highest chunk rebuilt.
+            top = op.rebuilds[0].level + 1  # P's level
+            end = ((j >> top) + 1) << top
+            if end > self._k:
+                end = self._k
         leaf.count += m
         leaf.buf -= m
         self._n += m
@@ -287,13 +349,16 @@ class KCursorSparseTable:
         self.counter.absorb(op, units=m)
         if obs is not None:
             obs.after_op(self, op, m)
+        return end
 
-    def shrink(self, j: int, m: int) -> None:
-        """Remove the last ``m`` elements of district ``j`` in one batch."""
+    def shrink(self, j: int, m: int) -> int:
+        """Remove the last ``m`` elements of district ``j`` in one batch.
+
+        Returns the end of the moved range, as :meth:`extend` does."""
         if m <= 0:
             if m < 0:
                 raise ValueError("m must be >= 0")
-            return
+            return j
         leaf = self._leaf(j)
         if leaf.count < m:
             raise IndexError(f"district {j} holds {leaf.count} < {m} elements")
@@ -313,6 +378,13 @@ class KCursorSparseTable:
         self.counter.absorb(op, units=m)
         if obs is not None:
             obs.after_op(self, op, m)
+        if not op.rebuilds:
+            return j + 1
+        # A chunk's record precedes its parent's (the parent shrinks
+        # after), so the last record is the highest chunk rebuilt.
+        top = op.rebuilds[-1].level + 1  # P's level
+        end = ((j >> top) + 1) << top
+        return end if end < self._k else self._k
 
     def delete(self, j: int) -> Any:
         """DELETE(j): remove and return the last element of district ``j``."""
@@ -587,16 +659,16 @@ class KCursorSparseTable:
     # ------------------------------------------------------------------
 
     def iter_chunks(self) -> Iterator[Chunk]:
-        """All chunks, preorder (debugging / invariant checks)."""
-
-        def walk(node: Chunk) -> Iterator[Chunk]:
+        """All chunks, preorder (invariant checks, snapshots).  One flat
+        walk with an explicit stack: no generator per level."""
+        stack = [self._root]
+        while stack:
+            node = stack.pop()
             yield node
             if node.left is not None:
                 assert node.right is not None  # internal chunks have both children
-                yield from walk(node.left)
-                yield from walk(node.right)
-
-        return walk(self._root)
+                stack.append(node.right)
+                stack.append(node.left)
 
     @property
     def root(self) -> Chunk:

@@ -67,14 +67,22 @@ _LSN_KEY = "service_lsn"
 # Scheduler construction / snapshot
 
 
+def _serving(sched: SchedulerT) -> SchedulerT:
+    """Drop the ledger's per-op report series.  A session reads only the
+    ledger's histograms (``summary``, ``competitiveness``), and a long-lived
+    session would otherwise grow by one report per write."""
+    sched.ledger.reports = None
+    return sched
+
+
 def build_scheduler(cfg: SessionConfig) -> SchedulerT:
     if cfg.p > 1:
-        return ParallelScheduler(
+        return _serving(ParallelScheduler(
             cfg.p, cfg.max_size, delta=cfg.delta, dynamic=cfg.dynamic
-        )
-    return SingleServerScheduler(
+        ))
+    return _serving(SingleServerScheduler(
         cfg.max_size, delta=cfg.delta, dynamic=cfg.dynamic
-    )
+    ))
 
 
 def take_snapshot(sched: SchedulerT) -> dict[str, Any]:
@@ -88,9 +96,9 @@ def take_snapshot(sched: SchedulerT) -> dict[str, Any]:
 def restore_snapshot(doc: dict[str, Any]) -> SchedulerT:
     kind = doc.get("kind")
     if kind == "parallel":
-        return restore_parallel(doc)
+        return _serving(restore_parallel(doc))
     if kind == "single":
-        return restore_single(doc)
+        return _serving(restore_single(doc))
     raise ServiceError(
         ErrorCode.JOURNAL_CORRUPT, f"snapshot has unknown kind {kind!r}"
     )

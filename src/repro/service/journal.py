@@ -539,7 +539,10 @@ class Journal:
         self._fh = open(path, "wb")
         self._seg_records = 0
         self._since_fsync = 0
-        fsync_dir(self.root)
+        # Under ``never`` a power loss can already lose or tear any
+        # segment's unsynced data, so making its name durable buys nothing.
+        if self.fsync != "never":
+            fsync_dir(self.root)
 
     # -- checkpointing ---------------------------------------------------
 

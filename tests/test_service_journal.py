@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 
 import pytest
 
@@ -47,6 +48,33 @@ def test_segment_roll(tmp_path):
         "wal-0000000000000003.seg",
         "wal-0000000000000005.seg",
     ]
+
+
+@pytest.mark.parametrize("policy", ["never", "interval", "always"])
+def test_roll_fsyncs_its_directory_unless_never(tmp_path, monkeypatch, policy):
+    """Each open/append/close cycle rolls one new segment.  Under ``never``
+    nothing is fsynced, the new segment's directory entry included (a power
+    loss may lose unsynced data anyway); the other policies fsync the
+    directory once per roll."""
+    real_fsync = os.fsync
+    calls = {"dir": 0, "file": 0}
+
+    def counting_fsync(fd):
+        calls["dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"] += 1
+        return real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", counting_fsync)
+    cycles = 6
+    for k in range(cycles):
+        with Journal(str(tmp_path), fsync=policy) as j:
+            append_n(j, 2, start=2 * k)
+    monkeypatch.undo()
+    assert len(seg_files(str(tmp_path))) == cycles
+    if policy == "never":
+        assert calls == {"dir": 0, "file": 0}
+    else:
+        assert calls["dir"] == cycles
+        assert calls["file"] > 0
 
 
 def test_constructor_validation(tmp_path):
