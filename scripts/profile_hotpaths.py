@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Profile the hot paths (HPC workflow: measure before optimizing).
 
-Usage: python scripts/profile_hotpaths.py [scheduler|kcursor|pma|service|evict] [--metrics]
+Usage: python scripts/profile_hotpaths.py [scheduler|kcursor|pma|service|evict|commit] [--metrics]
 
 With ``--metrics`` the run is also instrumented through the obs layer
 (:mod:`repro.obs`): machine-model counters (``kcursor.*`` / ``sched.*`` /
@@ -36,6 +36,16 @@ misses over a 1-session cache, 20 read-only and then 20 one-write.
 Each prints cProfile calls per op, checkpoints per eviction, and
 ``decode_record`` calls and ``SingleServerScheduler`` builds per
 rehydration -- deterministic counts of the work a cache miss costs.
+
+``commit`` counts what durability costs per write on the replicated
+path: one session on an in-process primary (``fsync=always``, a quorum
+replica served in the same process) takes 1,000 inserts pipelined on
+one connection.  It prints, per write, the ``os.fsync`` calls made on
+the primary's and on the replica's data directories (``os.fsync`` is
+wrapped, and each call is attributed by the path of its descriptor) and
+the ``repl_apply`` frames the replica executed (its
+``service.op.repl_apply`` counter).  Both are counted outside the
+service code, so the target runs unchanged on an older checkout.
 """
 
 import asyncio
@@ -300,6 +310,61 @@ def profile_evict() -> None:
             asyncio.run(shape(root))
 
 
+def profile_commit() -> None:
+    from repro.obs import MetricsRegistry
+    from repro.service import AsyncServiceClient, ServiceServer, SessionManager
+    from repro.service.replica import Replicator
+
+    writes = 1000
+    real_fsync = os.fsync
+
+    async def main(root: str) -> None:
+        roots = {role: os.path.join(root, role) for role in ("primary", "replica")}
+        fsyncs = dict.fromkeys(roots, 0)
+
+        def counted(fd: int) -> None:
+            path = os.readlink(f"/proc/self/fd/{fd}")
+            for role, top in roots.items():
+                if path == top or path.startswith(top + os.sep):
+                    fsyncs[role] += 1
+            real_fsync(fd)
+
+        reg = MetricsRegistry()
+        replica = SessionManager(
+            roots["replica"], fsync="always", replica_of="primary", registry=reg
+        )
+        rsrv = ServiceServer(replica, port=0)
+        await rsrv.start()
+        primary = SessionManager(roots["primary"], fsync="always")
+        primary.set_replicator(
+            Replicator([("127.0.0.1", rsrv.tcp_port)], ack_mode="quorum")
+        )
+        psrv = ServiceServer(primary, port=0)
+        await psrv.start()
+        try:
+            async with AsyncServiceClient(port=psrv.tcp_port) as c:
+                await c.open("s", {"max_size": 64})
+                frames = reg.value("service.op.repl_apply")
+                os.fsync = counted
+                try:
+                    await asyncio.gather(
+                        *(c.insert("s", f"j{k}", 1 + k % 64) for k in range(writes))
+                    )
+                finally:
+                    os.fsync = real_fsync
+                frames = reg.value("service.op.repl_apply") - frames
+        finally:
+            await psrv.stop()
+            await rsrv.stop()
+        print(f"commit: {fsyncs['primary'] / writes:.3f} primary fsyncs/write "
+              f"({writes} pipelined quorum inserts, fsync=always)")
+        print(f"commit: {fsyncs['replica'] / writes:.3f} replica fsyncs/write")
+        print(f"commit: {frames / writes:.3f} repl_apply frames/write")
+
+    with tempfile.TemporaryDirectory() as root:
+        asyncio.run(main(os.path.realpath(root)))
+
+
 TARGETS = {
     "scheduler": profile_scheduler,
     "kcursor": profile_kcursor,
@@ -316,6 +381,9 @@ def main() -> int:
         return 0
     if which == "evict":
         profile_evict()
+        return 0
+    if which == "commit":
+        profile_commit()
         return 0
     run, target = TARGETS[which]()
 

@@ -16,6 +16,7 @@ docs/SERVICE.md ("Session image") has the contract.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import time
@@ -128,6 +129,17 @@ class DedupWindow:
 
     def get(self, key: str) -> Optional[dict[str, Any]]:
         return self._map.get(key)
+
+    def get_after(self, key: str, puts: int) -> Optional[dict[str, Any]]:
+        """What :meth:`get` will answer once ``puts`` more keys, none of
+        them in the window yet, have been put: the oldest go first."""
+        result = self._map.get(key)
+        if result is None or puts < 1:
+            return result
+        drop = len(self._map) + puts - self.cap
+        if drop > 0 and key in itertools.islice(self._map, drop):
+            return None
+        return result
 
     def put(self, key: str, result: dict[str, Any]) -> int:
         """Record a result; returns how many old entries were evicted."""

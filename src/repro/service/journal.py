@@ -37,17 +37,24 @@ snapshot files.
 Fsync policy trades durability for throughput (measurable with the load
 generator; see docs/SERVICE.md):
 
-``always``    fsync after every append -- an acknowledged op survives
-              power loss;
-``interval``  fsync every N appends (default 64) -- bounded loss window;
+``always``    fsync after every append (one per batch) -- an
+              acknowledged op survives power loss;
+``interval``  fsync once N records have been appended since the last one
+              (default 64) -- bounded loss window;
 ``never``     flush to the OS only -- survives process crash (SIGKILL),
               not power loss.
 
-Failure atomicity: :meth:`Journal.append` either completes (record
-written, counters advanced, LSN assigned) or leaves no trace -- on any
-I/O error the partial write is truncated away, so an op that was never
-acknowledged can never be replayed.  If even the truncation fails the
-handle is dropped; recovery then tolerates the orphan as a torn tail,
+Group commit: :meth:`Journal.append_batch` logs a run of records with
+one write and at most one fsync under the policy, so ``always`` costs
+one fsync per batch, not per record.  A batch never straddles two
+segments, which keeps every segment named by its first LSN; a segment
+may run past ``segment_records`` by less than one batch.
+
+Failure atomicity: an append either completes (every record of the
+batch written, counters advanced, LSNs assigned) or leaves no trace --
+on any I/O error the partial write is truncated away, so an op that was
+never acknowledged can never be replayed.  If even the truncation fails
+the handle is dropped; recovery then tolerates the orphan as a torn tail,
 and the client-side idempotency keys (carried in each record's ``i``
 field) close the remaining ambiguity.  I/O failure paths are exercised
 deterministically through the ``journal.*`` failpoints
@@ -61,7 +68,7 @@ import os
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Any, Callable, Generic, Iterable, Optional, TypeVar
+from typing import Any, Callable, Generic, Iterable, Optional, Sequence, TypeVar
 
 from repro import faults
 from repro.obs.logsetup import get_logger
@@ -106,7 +113,8 @@ def _snap_name(lsn: int) -> str:
     return f"{_SNAP_PREFIX}{lsn:016d}{_SNAP_SUFFIX}"
 
 
-def _encode_record(rec: JournalRecord) -> bytes:
+def _encode_line(rec: JournalRecord) -> str:
+    """``rec``'s journal line, CRC included, without the newline."""
     body: dict[str, Any] = {
         "lsn": rec.lsn, "op": rec.op, "name": rec.name, "size": rec.size,
     }
@@ -114,9 +122,11 @@ def _encode_record(rec: JournalRecord) -> bytes:
         body["i"] = rec.idem
     payload = json.dumps(body, sort_keys=True, separators=(",", ":"))
     body["c"] = zlib.crc32(payload.encode("utf-8"))
-    return (json.dumps(body, sort_keys=True, separators=(",", ":")) + "\n").encode(
-        "utf-8"
-    )
+    return json.dumps(body, sort_keys=True, separators=(",", ":"))
+
+
+def _encode_record(rec: JournalRecord) -> bytes:
+    return (_encode_line(rec) + "\n").encode("utf-8")
 
 
 def decode_record(line: str) -> Optional[JournalRecord]:
@@ -365,10 +375,11 @@ class Journal:
         self.appends = 0
         self.fsyncs = 0
         self.checkpoints = 0
-        #: Encoded line of the most recent successful append (no trailing
-        #: newline) -- what a replicating primary ships verbatim, CRC and
-        #: all, so replicas store byte-identical records.
-        self.last_line: Optional[str] = None
+        #: Encoded lines of the most recent successful append, one per
+        #: record (no trailing newline) -- what a replicating primary
+        #: ships verbatim, CRC and all, so replicas store byte-identical
+        #: records.
+        self.last_lines: list[str] = []
         self._fh: Optional[Any] = None
         self._seg_records = 0
         self._since_fsync = 0
@@ -402,35 +413,9 @@ class Journal:
         snaps = snapshot_files(self.root)
         return self._lsn - (snaps[-1][0] if snaps else 0)
 
-    def next_record(
-        self, op: str, name: str, size: int, idem: Optional[str] = None
-    ) -> JournalRecord:
-        """The record a new mutating request gets: the next LSN."""
-        return JournalRecord(lsn=self._lsn + 1, op=op, name=name, size=size, idem=idem)
-
     def append(self, op: str, name: str, size: int, *, idem: Optional[str] = None) -> int:
-        """Durably log one mutating request; returns its LSN."""
-        return self.append_record(self.next_record(op, name, size, idem))
-
-    def append_record(self, rec: JournalRecord) -> int:
-        """Durably log one record; returns its LSN.
-
-        ``rec`` must extend this journal exactly: a :meth:`next_record`
-        of a live write, or a record shipped from the primary (the
-        replica side of journal shipping, docs/CLUSTER.md), adopted
-        verbatim.  A gap or regression means a shipped stream diverged,
-        and the caller must fall back to the snapshot catch-up path.
-
-        All-or-nothing: on an I/O error (real or injected via the
-        ``journal.append.*`` failpoints) the partial write is rewound
-        and the LSN is not consumed, so the journal stays replayable --
-        the caller decides whether to degrade the session.
-        """
-        if rec.lsn != self._lsn + 1:
-            raise ValueError(
-                f"append_record: LSN {rec.lsn}, expected {self._lsn + 1}"
-            )
-        return self._append_rec(rec)
+        """Durably log one mutating request at the next LSN; returns it."""
+        return self.append_batch((JournalRecord(self._lsn + 1, op, name, size, idem),))
 
     def advance_to(self, lsn: int) -> None:
         """Adopt an externally-assigned LSN floor (replica install).
@@ -442,14 +427,36 @@ class Journal:
         if lsn > self._lsn:
             self._lsn = lsn
 
-    def _append_rec(self, rec: JournalRecord) -> int:
+    def append_batch(self, recs: Sequence[JournalRecord]) -> int:
+        """Durably log ``recs`` with one write and at most one fsync
+        under the policy (group commit); returns the last LSN.
+
+        ``recs`` must extend this journal exactly, one LSN at a time: the
+        records of live writes, or records shipped from the primary (the
+        replica side of journal shipping, docs/CLUSTER.md), adopted
+        verbatim.  A gap or regression means a shipped stream diverged,
+        and the caller must fall back to the snapshot catch-up path.
+
+        All-or-nothing: on an I/O error (real or injected via the
+        ``journal.append.*`` failpoints, which fire once per call) the
+        whole batch is rewound and no LSN is consumed, so the journal
+        stays replayable -- the caller decides whether to degrade the
+        session.
+        """
+        if not recs:
+            raise ValueError("append_batch: no records")
+        for k, rec in enumerate(recs, start=self._lsn + 1):
+            if rec.lsn != k:
+                raise ValueError(f"append_batch: LSN {rec.lsn}, expected {k}")
         if self._fh is None or self._seg_records >= self.segment_records:
             self._roll()
         fh = self._fh
         assert fh is not None
-        data = _encode_record(rec)
+        lines = list(map(_encode_line, recs))
+        data = ("\n".join(lines) + "\n").encode("utf-8")
+        n = len(recs)
         do_fsync = self.fsync == "always" or (
-            self.fsync == "interval" and self._since_fsync + 1 >= self.fsync_interval
+            self.fsync == "interval" and self._since_fsync + n >= self.fsync_interval
         )
         pos = fh.tell()
         ot = tracing.CURRENT
@@ -479,22 +486,26 @@ class Journal:
             if ot is not None:
                 ot.journal_end(error=f"{type(e).__name__}: {e}")
             raise
-        self._lsn = rec.lsn
-        self.last_line = data.decode("utf-8")[:-1]
-        self._seg_records += 1
-        self.appends += 1
+        self._lsn = recs[-1].lsn
+        self.last_lines = lines
+        self._seg_records += n
+        self.appends += n
         if do_fsync:
             self.fsyncs += 1
             self._since_fsync = 0
         else:
-            self._since_fsync += 1
+            self._since_fsync += n
         reg = self.registry
         if reg is not None:
             reg.inc_all(
-                {"service.journal.appends": 1, "service.journal.bytes": len(data)}
+                {
+                    "service.journal.appends": n,
+                    "service.journal.writes": 1,
+                    "service.journal.bytes": len(data),
+                }
             )
         if ot is not None:
-            ot.journal_end(self._lsn)
+            ot.journal_end(self._lsn, records=n)
         return self._lsn
 
     def _rewind(self, pos: int) -> None:

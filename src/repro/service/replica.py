@@ -3,9 +3,11 @@
 A primary shard owns the journal; replicas hold byte-identical copies
 built from two ops of the wire protocol (docs/CLUSTER.md):
 
-``repl_apply``    ships the encoded record line of the op that just
-                  committed locally, verbatim -- CRC and all -- so the
-                  replica's segments are byte-identical replays;
+``repl_apply``    ships the encoded record lines of the batch that just
+                  committed locally, verbatim -- CRC and all -- in one
+                  frame, so the replica's segments are byte-identical
+                  replays and it appends the batch with one write and
+                  one fsync;
 ``repl_install``  seeds or catches up a replica from a full snapshot
                   (ledger totals + dedup sidecar + the primary LSN it
                   covers) when the stream has a gap the tail cannot
@@ -13,15 +15,16 @@ built from two ops of the wire protocol (docs/CLUSTER.md):
                   restarted primary with no shipping state.
 
 The :class:`Replicator` lives on the primary and is driven from inside
-each session's worker turn (:meth:`SessionManager._worker` awaits
-:meth:`ship` after the op is applied and journaled locally), so per-
-session ship order always equals journal order.  Each replica link is
+each session's worker turn (:meth:`SessionManager._turn` awaits
+:meth:`ship` once the turn's batch of writes is journaled and applied
+locally), so per-session ship order always equals journal order, and a
+batch reaches quorum once for all of its records.  Each replica link is
 one pipelined :class:`~repro.service.client.AsyncServiceClient`, made
 once and closed only by :meth:`Replicator.close`: the ships of
 different sessions are in flight on it at once, and after a lost
 connection the next ship reconnects it.  Two ack modes:
 
-* ``quorum`` -- :meth:`ship` resolves only once the record is durable
+* ``quorum`` -- :meth:`ship` resolves only once the batch is durable
   on a majority of the ``1 + N`` copies (the primary counts as one), so
   an acked write survives the primary's death.  A write that cannot
   reach quorum fails the op with ``retry_later``; the client's retry is
@@ -113,7 +116,7 @@ class ReplicaLink:
         self.shipped: dict[str, int] = {}
         self.behind: set[str] = set()
         self.down_until = 0.0
-        self.queue: Optional[asyncio.Queue[tuple[str, int, str]]] = None
+        self.queue: Optional[asyncio.Queue[tuple[str, int, list[str]]]] = None
         self.writer: Optional[asyncio.Task[None]] = None
 
     @property
@@ -149,15 +152,16 @@ class Replicator:
     # -- the ship point (called from the session worker) -----------------
 
     async def ship(
-        self, sid: str, lsn: int, line: Optional[str], snapshot_fn: SnapshotFn
+        self, sid: str, lsn: int, lines: list[str], snapshot_fn: SnapshotFn
     ) -> None:
-        """Make the record at ``lsn`` durable per the ack mode.
+        """Make the records up to ``lsn`` durable per the ack mode;
+        ``lines`` are the last batch's record lines, ending at ``lsn``.
 
         Raises ``retry_later`` when quorum mode cannot reach enough
-        replicas -- the op's future fails and the client's retry (a
-        dedup hit on this primary) re-ships until the quorum heals.
+        replicas -- the batch's ops fail and the clients' retries (dedup
+        hits on this primary) re-ship until the quorum heals.
         """
-        if not self.links or line is None:
+        if not self.links or not lines:
             return
         self.ships += 1
         # One snapshot per ship, however many links need an install.
@@ -173,14 +177,15 @@ class Replicator:
         if tracer is not None:
             span = tracer.open_span(
                 "replica.ship",
-                {"session": sid, "lsn": lsn, "mode": self.ack_mode},
+                {"session": sid, "lsn": lsn, "records": len(lines),
+                 "mode": self.ack_mode},
             )
         acks = 0
         try:
             if self.ack_mode == "quorum":
                 results = await asyncio.gather(
                     *(
-                        self._sync_link(link, sid, lsn, line, snap_once)
+                        self._sync_link(link, sid, lsn, lines, snap_once)
                         for link in self.links
                     )
                 )
@@ -201,10 +206,10 @@ class Replicator:
                     if sid in link.behind or sid not in link.shipped:
                         # Gap or fresh session: catch up inline -- this
                         # is the only context where snapshot_fn is safe.
-                        if await self._sync_link(link, sid, lsn, line, snap_once):
+                        if await self._sync_link(link, sid, lsn, lines, snap_once):
                             acks += 1
                     else:
-                        self._writer_enqueue(link, sid, lsn, line)
+                        self._writer_enqueue(link, sid, lsn, lines)
                 self._update_lag(sid, lsn)
         except ServiceError as e:
             if tracer is not None and span is not None:
@@ -225,12 +230,12 @@ class Replicator:
         link: ReplicaLink,
         sid: str,
         lsn: int,
-        line: str,
+        lines: list[str],
         snapshot_fn: SnapshotFn,
     ) -> bool:
         """Bring one replica's copy of ``sid`` to ``lsn``; True if durable.
 
-        Tries the cheap tail path first (ship just this record); a gap
+        Tries the cheap tail path first (ship just this batch); a gap
         reply or a missing session falls back to the snapshot install.
         Failures back the link off and return False -- ``shipped`` only
         advances on a confirmed reply, so ambiguous outcomes re-ship and
@@ -250,7 +255,7 @@ class Replicator:
             if sid not in link.behind:
                 try:
                     reply = await client.repl_apply(
-                        sid, [line], timeout=self.timeout
+                        sid, lines, timeout=self.timeout
                     )
                     if "need" not in reply:
                         link.shipped[sid] = int(reply["lsn"])
@@ -276,16 +281,19 @@ class Replicator:
 
     # -- async ack mode ---------------------------------------------------
 
-    def _writer_enqueue(self, link: ReplicaLink, sid: str, lsn: int, line: str) -> None:
+    def _writer_enqueue(
+        self, link: ReplicaLink, sid: str, lsn: int, lines: list[str]
+    ) -> None:
         if link.queue is None:
             link.queue = asyncio.Queue()
             link.writer = asyncio.get_running_loop().create_task(
                 self._writer_loop(link)
             )
-        link.queue.put_nowait((sid, lsn, line))
+        link.queue.put_nowait((sid, lsn, lines))
 
     async def _writer_loop(self, link: ReplicaLink) -> None:
-        """Drain one replica's queue in ship order (async ack mode).
+        """Drain one replica's queue in ship order, one ``repl_apply``
+        frame per batch (async ack mode).
 
         A gap or failure only marks the session ``behind`` -- catch-up
         needs the snapshot provider, which is only safe to call from a
@@ -294,11 +302,13 @@ class Replicator:
         queue = link.queue
         assert queue is not None
         while True:
-            sid, lsn, line = await queue.get()
+            sid, lsn, lines = await queue.get()
             if link.shipped.get(sid, 0) >= lsn or sid in link.behind:
                 continue
             try:
-                reply = await link.client.repl_apply(sid, [line], timeout=self.timeout)
+                reply = await link.client.repl_apply(
+                    sid, lines, timeout=self.timeout
+                )
                 if "need" in reply:
                     link.behind.add(sid)
                 else:

@@ -18,9 +18,12 @@ asyncio event loop and provides the guarantees the protocol promises:
   Eviction, migration, replica install and the degraded heal all move
   the same :class:`~repro.service.image.SessionImage`, through one
   checkpoint-and-drop step and one install step.
-* **Write-ahead ordering.**  Mutations are validated, journaled (per
-  the fsync policy), then applied; an acknowledged op is exactly as
-  durable as the policy promises.
+* **Write-ahead ordering, committed in groups.**  Mutations are
+  validated, journaled (per the fsync policy), then applied; an
+  acknowledged op is exactly as durable as the policy promises.  The
+  worker commits the run of writes queued at the head of its queue as
+  one batch: one journal write, at most one fsync, one replication
+  ship, each op validated against the state the ones before it leave.
 * **Exactly-once retries.**  Mutating requests may carry a client
   idempotency key; a bounded per-session :class:`DedupWindow` maps keys
   to their original results, so a retry after an ambiguous failure
@@ -51,7 +54,8 @@ import json
 import os
 import re
 import time
-from typing import TYPE_CHECKING, Any, Callable, Optional, Union
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence, Union
 
 from repro import faults
 
@@ -167,20 +171,45 @@ QUEUE_OPS = frozenset(
     {"insert", "delete", "query", "snapshot", "migrate_out", "repl_apply"}
 )
 
-#: Receives an op's outcome -- its result, or the :class:`ServiceError`
-#: it failed with -- from the session worker once the op and its
-#: replication ship are done.
-Reply = Callable[[Union[dict[str, Any], ServiceError]], None]
+#: An op's outcome: its result, or the :class:`ServiceError` it failed with.
+Outcome = Union[dict[str, Any], ServiceError]
 
-_QueueItem = Optional[
-    tuple[Callable[[], dict[str, Any]], Reply, Optional[OpTrace]]
-]
+#: Receives an op's :data:`Outcome` from the session worker once the op
+#: and its replication ship are done.
+Reply = Callable[[Outcome], None]
+
+
+@dataclass(slots=True)
+class _Write:
+    """A queued ``insert`` or ``delete``: the op the worker commits in
+    batches (:meth:`SessionManager._commit_writes`)."""
+
+    op: str
+    name: str
+    size: Optional[int]
+    idem: Optional[str]
+    reply: Reply
+    ot: Optional[OpTrace]
+
+
+@dataclass(slots=True)
+class _Call:
+    """Any other queued op: the worker runs ``fn`` alone, and it ends
+    the batch before it."""
+
+    fn: Callable[[], dict[str, Any]]
+    reply: Reply
+    ot: Optional[OpTrace]
+
+
+#: ``None`` stops the worker.
+_QueueItem = Union[_Write, _Call, None]
 
 
 def _resolver(fut: "asyncio.Future[dict[str, Any]]") -> Reply:
     """A :data:`Reply` that settles ``fut`` (the awaitable paths)."""
 
-    def reply(outcome: Union[dict[str, Any], ServiceError]) -> None:
+    def reply(outcome: Outcome) -> None:
         if fut.done():  # the awaiting caller was cancelled
             return
         if isinstance(outcome, ServiceError):
@@ -191,7 +220,7 @@ def _resolver(fut: "asyncio.Future[dict[str, Any]]") -> Reply:
     return reply
 
 
-def _discard(outcome: Union[dict[str, Any], ServiceError]) -> None:
+def _discard(outcome: Outcome) -> None:
     """The :data:`Reply` of background evictions: nobody awaits them,
     and a failed checkpoint already flipped the session degraded."""
 
@@ -428,9 +457,9 @@ class SessionManager:
             sess = self._attach(req.session, None, create=False)[0]
             if op == "insert" or op == "delete":
                 assert req.name is not None
-                name, size, idem = req.name, req.size, req.idem
-                fn = lambda: self._op_write(sess, op, name, size, idem)
-            elif op == "query":
+                self._put(sess, _Write(op, req.name, req.size, req.idem, reply, ot))
+                return
+            if op == "query":
                 fn = lambda: self._op_query(sess, req.name, req.jobs)
             elif op == "snapshot":
                 fn = lambda: self._op_snapshot(sess)
@@ -438,7 +467,7 @@ class SessionManager:
                 fn = lambda: self._op_migrate_out(sess)
             else:
                 raise ServiceError(ErrorCode.UNKNOWN_OP, f"unhandled op {op!r}")
-        self._put(sess, fn, reply, ot)
+        self._put(sess, _Call(fn, reply, ot))
 
     async def open(
         self,
@@ -833,24 +862,20 @@ class SessionManager:
         fut: "asyncio.Future[dict[str, Any]]" = (
             asyncio.get_running_loop().create_future()
         )
+        item = _Call(fn, _resolver(fut), ot)
         if force:
             if ot is not None:
                 ot.enqueued()
-            await sess.queue.put((fn, _resolver(fut), ot))
+            await sess.queue.put(item)
         else:
-            self._put(sess, fn, _resolver(fut), ot)
+            self._put(sess, item)
         return await fut
 
-    def _put(
-        self,
-        sess: Session,
-        fn: Callable[[], dict[str, Any]],
-        reply: Reply,
-        ot: Optional[OpTrace],
-    ) -> None:
-        """Admission: queue ``fn`` for the session worker without
+    def _put(self, sess: Session, item: Union[_Write, _Call]) -> None:
+        """Admission: queue ``item`` for the session worker without
         waiting, or refuse (shutting down, injected ``sessions.admit``
         fault, full queue -> RETRY_LATER with the advisory delay)."""
+        ot = item.ot
         if self._shutting_down:
             raise ServiceError(ErrorCode.SHUTTING_DOWN, "server is shutting down")
         plan = faults.ACTIVE
@@ -867,7 +892,7 @@ class SessionManager:
         if ot is not None:
             ot.enqueued()
         try:
-            sess.queue.put_nowait((fn, reply, ot))
+            sess.queue.put_nowait(item)
         except asyncio.QueueFull:
             self._shed(sess, ot)
             raise ServiceError(
@@ -888,72 +913,122 @@ class SessionManager:
 
     async def _worker(self, sess: Session) -> None:
         queue = sess.queue
+        #: An op taken while gathering a batch that cannot join it: it
+        #: runs next, ahead of everything still queued.
+        held: list[_QueueItem] = []
         while True:
-            item = await queue.get()
-            try:
-                if item is None:
-                    return
-                fn, reply, ot = item
-                self._clock += 1
-                sess.touched = self._clock
-                if ot is not None:
-                    ot.dequeued()
-                tracing.CURRENT = ot
-                outcome: Union[dict[str, Any], ServiceError]
-                try:
-                    outcome = fn()
-                except ServiceError as e:
-                    outcome = e
-                except Exception as e:  # internal bug: report, keep serving
-                    log.exception("session %s: internal error", sess.sid)
-                    outcome = ServiceError(
-                        ErrorCode.INTERNAL, f"{type(e).__name__}: {e}"
-                    )
-                else:
-                    # Replication ship point: the op is applied and
-                    # journaled locally; under quorum ack mode it must
-                    # not be answered until the record is quorum-durable.
-                    # The worker awaits its own ship, so per-session
-                    # ship order equals journal order while other
-                    # sessions' ships share the replica link.
-                    repl = self.replicator
-                    journal = sess.journal
-                    if (
-                        repl is not None
-                        and self.replica_of is None
-                        and journal is not None
-                        and journal.last_lsn > 0
-                    ):
-                        try:
-                            await repl.ship(
-                                sess.sid,
-                                journal.last_lsn,
-                                journal.last_line,
-                                lambda: self._op_repl_snapshot(sess),
-                            )
-                        except ServiceError as e:
-                            outcome = e
-                        except Exception as e:  # a ship bug must not
-                            # wedge the session worker: fail this op,
-                            # keep the queue draining.
-                            log.exception(
-                                "session %s: replication ship failed",
-                                sess.sid,
-                            )
-                            outcome = ServiceError(
-                                ErrorCode.INTERNAL,
-                                f"replication: {type(e).__name__}: {e}",
-                            )
-                finally:
-                    tracing.CURRENT = None
-                if ot is not None:
-                    ot.executed()
-                try:
-                    reply(outcome)
-                except Exception:  # an answer path must not kill the worker
-                    log.exception("session %s: reply failed", sess.sid)
-            finally:
+            item = held.pop() if held else await queue.get()
+            if item is None:
                 queue.task_done()
+                return
+            self._clock += 1
+            sess.touched = self._clock
+            call: Optional[_Call] = None
+            writes: list[_Write] = []
+            taken = 1
+            if isinstance(item, _Call):
+                call = item
+            else:
+                # Group commit: the writes queued right behind this one
+                # join its batch, up to the queue depth.
+                writes = [item]
+                while not queue.empty() and taken < self.queue_depth:
+                    nxt = queue.get_nowait()
+                    if not isinstance(nxt, _Write):
+                        held.append(nxt)
+                        break
+                    writes.append(nxt)
+                    taken += 1
+            try:
+                await self._turn(sess, writes, call)
+            finally:
+                for _ in range(taken):
+                    queue.task_done()
+
+    async def _turn(
+        self, sess: Session, writes: list[_Write], call: Optional[_Call]
+    ) -> None:
+        """One worker turn: a batch of ``writes`` or one other op
+        (``call``), then its replication ship, then an answer per op in
+        queue order."""
+        batch: Sequence[Union[_Write, _Call]] = writes if call is None else (call,)
+        for item in batch:
+            if item.ot is not None:
+                item.ot.dequeued()
+        outcomes: list[Outcome]
+        try:
+            try:
+                if call is not None:
+                    outcomes = [self._call(call)]
+                else:
+                    outcomes = self._commit_writes(sess, writes)
+            except Exception as e:  # internal bug: report, keep serving
+                log.exception("session %s: internal error", sess.sid)
+                outcomes = [
+                    ServiceError(ErrorCode.INTERNAL, f"{type(e).__name__}: {e}")
+                ] * len(batch)
+            tracing.CURRENT = batch[0].ot
+            for outcome in outcomes:
+                if isinstance(outcome, ServiceError):
+                    continue
+                # Something was carried out: ship before answering.
+                failed = await self._ship(sess)
+                if failed is not None:
+                    outcomes = [
+                        o if isinstance(o, ServiceError) else failed
+                        for o in outcomes
+                    ]
+                break
+        finally:
+            tracing.CURRENT = None
+        for item, outcome in zip(batch, outcomes):
+            if item.ot is not None:
+                item.ot.executed()
+            try:
+                item.reply(outcome)
+            except Exception:  # an answer path must not kill the worker
+                log.exception("session %s: reply failed", sess.sid)
+
+    @staticmethod
+    def _call(call: _Call) -> Outcome:
+        tracing.CURRENT = call.ot
+        try:
+            return call.fn()
+        except ServiceError as e:
+            return e
+
+    async def _ship(self, sess: Session) -> Optional[ServiceError]:
+        """Replication ship point: the turn's ops are journaled and
+        applied locally; under quorum ack mode none of them may be
+        answered until its records are quorum-durable.  The worker awaits
+        its own ship, so per-session ship order equals journal order
+        while other sessions' ships share the replica link.  Returns the
+        error each op the turn carried out answers instead, if any."""
+        repl = self.replicator
+        journal = sess.journal
+        if (
+            repl is None
+            or self.replica_of is not None
+            or journal is None
+            or journal.last_lsn == 0
+        ):
+            return None
+        try:
+            await repl.ship(
+                sess.sid,
+                journal.last_lsn,
+                journal.last_lines,
+                lambda: self._op_repl_snapshot(sess),
+            )
+        except ServiceError as e:
+            return e
+        except Exception as e:  # a ship bug must not wedge the session
+            # worker: fail this turn's ops, keep the queue draining.
+            log.exception("session %s: replication ship failed", sess.sid)
+            return ServiceError(
+                ErrorCode.INTERNAL, f"replication: {type(e).__name__}: {e}"
+            )
+        return None
 
     async def _stop_session(self, sess: Session) -> None:
         sweeper = sess.sweeper
@@ -1074,7 +1149,7 @@ class SessionManager:
         for victim in candidates[:excess]:
             try:
                 victim.queue.put_nowait(
-                    (lambda v=victim: self._op_evict(v, lru=True), _discard, None)
+                    _Call(lambda v=victim: self._op_evict(v, lru=True), _discard, None)
                 )
             except asyncio.QueueFull:
                 continue  # busy session: not LRU for long; retry later
@@ -1095,17 +1170,38 @@ class SessionManager:
         sched = self._hydrated(sess)
         return {"active": len(sched), "recovery": dict(sess.last_recovery)}
 
-    def _dedup_lookup(self, sess: Session, idem: Optional[str]) -> Optional[dict[str, Any]]:
-        """Return the cached result for a retried mutation, if any.
+    def _dedup_hit(
+        self,
+        sess: Session,
+        idem: Optional[str],
+        keyed: dict[str, tuple[int, int]],
+        puts: int,
+    ) -> Union[dict[str, Any], int, None]:
+        """The answer a retried write gets, if ``idem`` is in the dedup
+        window as the batch's earlier writes leave it: a copy of the
+        cached result, or the index of the earlier record in this batch
+        whose answer it repeats.
 
-        Checked *before* validation and the degraded gate: a retry of an
-        op that was applied just before the journal failed must still
-        get its original answer, and must not trip DUPLICATE_JOB.
+        ``keyed`` maps each key the batch's records carry to the index
+        and ordinal of the last record that carries it; ``puts`` counts
+        those records so far, each a key the window will take in, oldest
+        out first.  Checked *before* validation and the degraded gate: a
+        retry of an op that was applied just before the journal failed
+        must still get its original answer, and must not trip
+        DUPLICATE_JOB.
         """
         if idem is None:
             return None
-        cached = sess.dedup.get(idem)
-        if cached is None:
+        hit: Union[dict[str, Any], int, None] = None
+        if idem in keyed:
+            k, nth = keyed[idem]
+            if nth >= puts - sess.dedup.cap:
+                hit = k
+        else:
+            cached = sess.dedup.get_after(idem, puts)
+            if cached is not None:
+                hit = dict(cached)
+        if hit is None:
             return None
         reg = self.registry
         if reg is not None:
@@ -1113,7 +1209,7 @@ class SessionManager:
         ot = tracing.CURRENT
         if ot is not None:
             ot.event("dedup.hit", {"session": sess.sid, "idem": idem})
-        return dict(cached)
+        return hit
 
     def _dedup_store(
         self, sess: Session, idem: Optional[str], result: dict[str, Any]
@@ -1126,49 +1222,125 @@ class SessionManager:
             if reg is not None:
                 reg.inc_all({"service.dedup.evictions": evicted})
 
-    def _op_write(
-        self,
-        sess: Session,
-        op: str,
-        name: str,
-        size: Optional[int],
-        idem: Optional[str],
-    ) -> dict[str, Any]:
-        """Live ``insert``/``delete``: validate, then :meth:`_commit`."""
-        sched = self._hydrated(sess)
-        cached = self._dedup_lookup(sess, idem)
-        if cached is not None:
-            return cached
-        if sess.degraded is not None:
-            raise self._degraded_error(sess)
-        if op == "insert":
-            if name in sched:
+    def _commit_writes(self, sess: Session, writes: list[_Write]) -> list[Outcome]:
+        """Live ``insert``/``delete`` in one batch (group commit): the
+        write-ahead discipline of docs/SERVICE.md, "Durability", per
+        batch.
+
+        Each write is validated against the state the writes before it
+        leave, so a duplicate insert, a delete of a missing job and an
+        idempotency key repeated inside the batch answer exactly as they
+        would one at a time.  The batch's records then go to the journal
+        in one all-or-nothing append (one write, at most one fsync) and
+        only then are applied, in order.  If the append fails, nothing
+        was applied: the session degrades and every write of the batch
+        answers the error.
+        """
+        outcomes: list[Outcome] = []
+        recs: list[JournalRecord] = []
+        #: The index in ``outcomes`` of each record's write; and of each
+        #: write that repeats an earlier record's answer (an in-batch
+        #: dedup hit), with that record's index.  Both get their answers
+        #: once the records are applied.
+        slots: list[int] = []
+        echoes: list[tuple[int, int]] = []
+        #: Size of each job the batch inserts; None for each it deletes.
+        jobs: dict[str, Optional[int]] = {}
+        #: Idempotency key -> index and ordinal of the last keyed record
+        #: carrying it; ``puts`` counts the keyed records so far.
+        keyed: dict[str, tuple[int, int]] = {}
+        puts = 0
+        #: The first traced write with a record: it holds the append's
+        #: span, and the others are charged its time (OpTrace.waited).
+        lead: Optional[OpTrace] = None
+        for i, w in enumerate(writes):
+            tracing.CURRENT = w.ot
+            outcome: Outcome = {}
+            try:
+                sched = self._hydrated(sess)
+                hit = self._dedup_hit(sess, w.idem, keyed, puts)
+                if hit is None:
+                    if sess.degraded is not None:
+                        raise self._degraded_error(sess)
+                    size = self._validate(sched, w, jobs)
+                    k = len(recs)
+                    if w.idem is not None:
+                        keyed[w.idem] = (k, puts)
+                        puts += 1
+                    recs.append(
+                        JournalRecord(
+                            self._journal(sess).last_lsn + k + 1,
+                            w.op, w.name, size, w.idem,
+                        )
+                    )
+                    jobs[w.name] = size if w.op == "insert" else None
+                    slots.append(i)
+                    if lead is None:
+                        lead = w.ot
+                elif isinstance(hit, int):
+                    echoes.append((i, hit))
+                else:
+                    outcome = hit
+            except ServiceError as e:
+                outcome = e
+            except Exception as e:  # internal bug: report, keep serving
+                log.exception("session %s: internal error", sess.sid)
+                outcome = ServiceError(ErrorCode.INTERNAL, f"{type(e).__name__}: {e}")
+            outcomes.append(outcome)
+        if not recs:
+            return outcomes
+        tracing.CURRENT = lead
+        j0 = f0 = 0.0
+        if lead is not None:
+            j0, f0 = lead.journal_s, lead.fsync_s
+        error: Optional[ServiceError] = None
+        try:
+            self._journal(sess).append_batch(recs)
+        except OSError as e:
+            error = self._degrade(sess, e)
+        if lead is not None:
+            dj, df = lead.journal_s - j0, lead.fsync_s - f0
+            for k, i in enumerate(slots):
+                ot = writes[i].ot
+                if ot is not None:
+                    if ot is not lead:
+                        ot.waited(dj, df)
+                    if error is None:
+                        ot.lsn = recs[k].lsn
+        if error is not None:
+            return [error] * len(writes)
+        sched = sess.scheduler
+        assert sched is not None
+        for k, rec in enumerate(recs):
+            result = apply_record(sched, rec)
+            self._dedup_store(sess, rec.idem, result)
+            self._count_op(sess, rec.op)
+            outcomes[slots[k]] = result
+        for i, k in echoes:
+            outcomes[i] = dict(outcomes[slots[k]])
+        return outcomes
+
+    @staticmethod
+    def _validate(
+        sched: SchedulerT, w: _Write, jobs: dict[str, Optional[int]]
+    ) -> int:
+        """The size of the job ``w`` writes, checked against ``sched`` as
+        the batch's ``jobs`` leave it."""
+        name = w.name
+        if name in jobs:
+            size = jobs[name]
+        else:
+            size = sched.placement(name).size if name in sched else None
+        if w.op == "insert":
+            if size is not None:
                 raise ServiceError(
                     ErrorCode.DUPLICATE_JOB, f"job {name!r} already active"
                 )
-        elif name not in sched:
+            size = w.size
+        elif size is None:
             raise ServiceError(ErrorCode.NO_SUCH_JOB, f"job {name!r} not active")
-        else:
-            size = sched.placement(name).size
         assert size is not None
-        rec = self._journal(sess).next_record(op, name, size, idem)
-        result = self._commit(sess, sched, rec)
-        self._count_op(sess, op)
-        return result
-
-    def _commit(
-        self, sess: Session, sched: SchedulerT, rec: JournalRecord
-    ) -> dict[str, Any]:
-        """Journal ``rec``, then apply it (write-ahead); a keyed answer
-        enters the dedup window.  Live writes and ``repl_apply`` share it.
-        """
-        try:
-            self._journal(sess).append_record(rec)
-        except OSError as e:
-            raise self._degrade(sess, e) from e
-        result = apply_record(sched, rec)
-        self._dedup_store(sess, rec.idem, result)
-        return result
+        return size
 
     def _op_query(
         self, sess: Session, name: Optional[str], include_jobs: bool
@@ -1435,11 +1607,11 @@ class SessionManager:
         earlier ship and are skipped; a record past ``last_lsn + 1``
         means this replica missed part of the stream, so the reply
         carries ``need`` and the primary falls back to the snapshot
-        install path.  Each adopted record is appended byte-identically
-        (CRC and all) *before* it is applied -- the same write-ahead
-        :meth:`_commit` as the primary's own writes -- so a promoted
-        replica answers retried ops exactly like the dead primary would
-        have.
+        install path.  The records that extend the journal are appended
+        byte-identically (CRC and all) in one write with at most one
+        fsync *before* any is applied -- the primary's own write-ahead
+        group commit -- so a promoted replica answers retried ops
+        exactly like the dead primary would have.
         """
         sched = self._hydrated(sess)
         if sess.degraded is not None:
@@ -1450,40 +1622,49 @@ class SessionManager:
             # to land, nothing applied yet (armed with kind=exit).
             plan.hit("replica.apply.exit")
         journal = self._journal(sess)
-        applied = 0
+        recs: list[JournalRecord] = []
+        need: Optional[int] = None
         for line in lines:
             rec = decode_record(line)
             if rec is None:
                 raise ServiceError(
                     ErrorCode.BAD_REQUEST, "undecodable replication record"
                 )
-            if rec.lsn <= journal.last_lsn:
+            expect = journal.last_lsn + len(recs) + 1
+            if rec.lsn < expect:
                 continue
-            if rec.lsn != journal.last_lsn + 1:
-                return {
-                    "applied": applied,
-                    "lsn": journal.last_lsn,
-                    "need": journal.last_lsn + 1,
-                }
-            try:
-                self._commit(sess, sched, rec)
-            except KeyError:
-                log.warning("repl_apply: op at LSN %d does not apply", rec.lsn)
-            except JournalCorrupt as e:
+            if rec.lsn > expect:
+                need = expect
+                break
+            if rec.op not in ("insert", "delete"):
                 raise ServiceError(
                     ErrorCode.BAD_REQUEST,
                     f"unknown replicated op {rec.op!r} at LSN {rec.lsn}",
-                ) from e
-            applied += 1
+                )
+            recs.append(rec)
+        if recs:
+            try:
+                journal.append_batch(recs)
+            except OSError as e:
+                raise self._degrade(sess, e) from e
+            for rec in recs:
+                try:
+                    result = apply_record(sched, rec)
+                except KeyError:
+                    log.warning("repl_apply: op at LSN %d does not apply", rec.lsn)
+                    continue
+                self._dedup_store(sess, rec.idem, result)
+        if need is not None:
+            return {"applied": len(recs), "lsn": journal.last_lsn, "need": need}
         self._count_op(sess, "repl_apply")
         reg = self.registry
-        if reg is not None and applied:
-            reg.inc_all({"service.repl.applies": applied})
+        if reg is not None and recs:
+            reg.inc_all({"service.repl.applies": len(recs)})
         if plan is not None:
             # Ack-side fault: stall (or drop) the durability ack the
             # primary's quorum gate is waiting on.
             plan.hit("replica.ack.delay")
-        return {"applied": applied, "lsn": journal.last_lsn}
+        return {"applied": len(recs), "lsn": journal.last_lsn}
 
     def _op_repl_install(self, sess: Session, snap: dict[str, Any]) -> dict[str, Any]:
         """Seed or catch up this replica from the primary's image: the

@@ -8,7 +8,9 @@ reply.  It owns two jobs:
 
       service.op.dispatch     request parse -> enqueue on the session queue
       service.op.queue_wait   enqueue -> dequeue in the session queue
-      service.op.journal      journal append/checkpoint (incl. fsync)
+      service.op.journal      journal append/checkpoint (incl. fsync);
+                              each write of a batch is charged the
+                              batch's whole append
       service.op.execute      op execution (and its replication ship)
                               minus the journal time
       service.op.handoff      op done -> answer written to the connection
@@ -31,11 +33,16 @@ reply.  It owns two jobs:
 
 The hand-off into synchronous depths (the journal does not take an
 ``OpTrace`` argument) rides the module global :data:`CURRENT`: the
-session worker sets it around the op function and resets it once the
-op's replication ship is done.  The op function runs synchronously with
-no awaits inside, so while it runs ``CURRENT`` is its op and no other;
-but a worker awaiting its ship lets other sessions' workers run (and
-reset ``CURRENT``), so only code inside the op function may rely on it.
+session worker sets it around each op's synchronous work and resets it
+once the turn's replication ship is done.  In a group-commit batch
+``CURRENT`` is each write's own op while that write is validated, then
+the batch's first traced write (the *lead*) for its one journal append:
+the lead gets the ``journal.append`` span, and each other write whose
+record rode the append is charged its time through :meth:`OpTrace.waited`
+and gets its own ``lsn``.  That work runs with no awaits inside, so
+while it runs ``CURRENT`` is the op it names and no other; but a worker
+awaiting its ship lets other sessions' workers run (and reset
+``CURRENT``), so only the synchronous part of a turn may rely on it.
 Every read of ``CURRENT`` (and of any ``tracer`` attribute) must sit
 behind an ``is not None`` guard -- reprolint RL008 enforces the
 zero-overhead-when-disabled contract.
@@ -59,8 +66,8 @@ SERIES_HANDOFF = "service.op.handoff"
 SERIES_TOTAL = "service.op.total"
 
 #: The op currently executing inside a session worker, if traced.
-#: Set before the op function and reset after its replication ship by
-#: :meth:`repro.service.sessions.SessionManager._worker` (see the module
+#: Set by the worker turn (:meth:`repro.service.sessions.SessionManager.
+#: _turn`) and reset after its replication ship (see the module
 #: docstring for what that guarantees).
 CURRENT: Optional["OpTrace"] = None
 
@@ -180,9 +187,15 @@ class OpTrace:
             tr.close_span(fsid, "journal.fsync")
 
     def journal_end(
-        self, lsn: Optional[int] = None, *, error: Optional[str] = None
+        self,
+        lsn: Optional[int] = None,
+        *,
+        error: Optional[str] = None,
+        records: Optional[int] = None,
     ) -> None:
-        """The journal operation finished (LSN assigned) or failed."""
+        """The journal operation finished (LSN assigned) or failed.  An
+        append passes how many ``records`` its batch wrote; ``lsn`` is
+        then the batch's last."""
         dt = time.perf_counter() - self._t_j
         self.journal_s += dt
         if lsn is not None:
@@ -194,10 +207,18 @@ class OpTrace:
                 payload: dict[str, Any] = {"seconds": round(dt, 6)}
                 if lsn is not None:
                     payload["lsn"] = lsn
+                if records is not None:
+                    payload["records"] = records
                 if error is not None:
                     payload["error"] = error
                 tr.close_span(jsid, self._jname, payload)
                 self._jsid = None
+
+    def waited(self, journal_s: float, fsync_s: float) -> None:
+        """This op's record rode another op's journal append (group
+        commit): it is charged the whole append, which it waited out."""
+        self.journal_s += journal_s
+        self.fsync_s += fsync_s
 
     # -- events ------------------------------------------------------------
 

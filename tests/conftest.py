@@ -61,14 +61,19 @@ def rng():
     return random.Random(1234)
 
 
-async def start_slow_replica(delay: float) -> tuple[asyncio.AbstractServer, int]:
+async def start_slow_replica(
+    delay: float, frames: list | None = None
+) -> tuple[asyncio.AbstractServer, int]:
     """A stub replica that acks every request ``delay`` seconds after it
     arrives, each on its own timer: ``repl_apply`` answers durable up to
-    its last shipped LSN, anything else answers ok.  Returns the server
+    its last shipped LSN, anything else answers ok.  Each request it
+    receives is appended to ``frames``, when given.  Returns the server
     and its port."""
 
     async def handle(reader, writer):
         async def answer(doc):
+            if frames is not None:
+                frames.append(doc)
             await asyncio.sleep(delay)
             result = {}
             if doc.get("op") == "repl_apply":

@@ -1,6 +1,9 @@
 """Fault-tolerance stack end to end: degraded mode, retrying idempotent
-clients, connection aborts, and the chaos property (seeded faults at
-every failpoint + a SIGKILL, recovering to the uninterrupted schedule).
+clients, connection aborts, the chaos property (seeded faults at every
+failpoint + a SIGKILL, recovering to the uninterrupted schedule), and
+group commit's all-or-nothing batch append (a failed append leaves the
+memory, the journal and the replica at the pre-batch state; a crash
+inside it loses no acknowledged op).
 """
 
 import asyncio
@@ -8,6 +11,7 @@ import json
 import os
 import random
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -27,8 +31,11 @@ from repro.service.protocol import (
     ServiceError,
     SessionConfig,
 )
+from repro.recovery import run_fsck
 from repro.service.server import ServiceServer
 from repro.service.image import DedupWindow, build_scheduler
+from repro.service.journal import Journal, durable_lsn
+from repro.service.replica import Replicator
 from repro.service.sessions import SessionManager
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -212,6 +219,52 @@ def test_dedup_window_survives_eviction_cycle(tmp_path):
         await m.shutdown()
 
     run(main())
+
+
+def test_dedup_window_ages_out_inside_a_batch_as_one_at_a_time(tmp_path):
+    """With a window of 2, a batch's own keyed writes push older keys
+    out, inside the batch, exactly as the same writes one at a time do:
+    a key aged out by the writes before it is a fresh op, not a hit."""
+    writes = [
+        ("insert", "c", 3, "k2"),  # pushes k0 out of [k0, k1]
+        ("insert", "a", 1, "k0"),  # aged out: a fresh, duplicate insert
+        ("insert", "b", 2, "k1"),  # still in: the cached answer
+        ("insert", "d", 4, "k3"),  # pushes k1 out
+        ("insert", "e", 5, "k2"),  # in-batch repeat, still in
+        ("delete", "b", None, "k4"),  # pushes k2 out
+        ("insert", "f", 6, "k2"),  # in-batch repeat, aged out: fresh
+    ]
+
+    async def answers(root, batched):
+        m = SessionManager(str(root), fsync="never", dedup_window=2)
+        await m.dispatch(req("open", session="s"))
+        for name, size, key in (("a", 1, "k0"), ("b", 2, "k1")):
+            await m.dispatch(req("insert", session="s", name=name, size=size, idem=key))
+        reqs = [
+            req(op, session="s", name=name, idem=key,
+                **({"size": size} if size is not None else {}))
+            for op, name, size, key in writes
+        ]
+        if batched:  # admitted together: one batch
+            out = await asyncio.gather(
+                *(m.dispatch(r) for r in reqs), return_exceptions=True
+            )
+        else:
+            out = []
+            for r in reqs:
+                try:
+                    out.append(await m.dispatch(r))
+                except ServiceError as e:
+                    out.append(e)
+        final = await m.dispatch(req("query", session="s", jobs=True))
+        await m.shutdown()
+        return [o.code if isinstance(o, ServiceError) else o for o in out], final
+
+    batch = run(answers(tmp_path / "batch", True))
+    serial = run(answers(tmp_path / "serial", False))
+    assert batch == serial
+    codes = batch[0]
+    assert codes[1] is ErrorCode.DUPLICATE_JOB and codes[6]["placed"]["name"] == "f"
 
 
 # ----------------------------------------------------------------------
@@ -601,3 +654,160 @@ def test_enospc_append_is_failure_atomic_and_heals(tmp_path):
         await m2.shutdown()
 
     run(main())
+
+
+# ----------------------------------------------------------------------
+# Group commit: one all-or-nothing append per batch
+
+
+#: One batch: six keyed inserts and a keyed delete of a pre-batch job.
+BATCH = [("insert", f"b{k}", 1 + k % 5) for k in range(6)] + [("delete", "p0", None)]
+
+
+def batch_requests():
+    return [
+        req(op, session="s", name=name, idem=f"b.{op}.{name}",
+            **({"size": size} if size is not None else {}))
+        for op, name, size in BATCH
+    ]
+
+
+@pytest.mark.parametrize("point", ["journal.append.fsync", "journal.append.io"])
+def test_failed_batch_append_is_all_or_nothing(tmp_path, monkeypatch, point):
+    """The one journal append of a multi-op batch fails (its fsync, or
+    its write): no op of the batch is acknowledged; once the session
+    heals, its memory, its journal and its quorum replica hold the
+    pre-batch state; and an idempotent retry applies each op once."""
+    appends = []
+    real_append = Journal.append_batch
+
+    def spy(journal, recs):
+        appends.append((journal.root, len(recs)))
+        return real_append(journal, recs)
+
+    monkeypatch.setattr(Journal, "append_batch", spy)
+    sdir = str(tmp_path / "primary" / "s")
+
+    def primary_batches():
+        return [n for root, n in appends if root == sdir]
+
+    async def main():
+        replica = SessionManager(
+            str(tmp_path / "replica"), fsync="always", replica_of="primary"
+        )
+        rsrv = ServiceServer(replica, port=0)
+        await rsrv.start()
+        m = SessionManager(
+            str(tmp_path / "primary"), fsync="always",
+            recover_backoff=0.01, recover_backoff_max=0.05,
+        )
+        m.set_replicator(Replicator([("127.0.0.1", rsrv.tcp_port)], ack_mode="quorum"))
+        try:
+            await m.dispatch(req("open", session="s", config={"max_size": 16}))
+            for k in range(3):
+                await m.dispatch(
+                    req("insert", session="s", name=f"p{k}", size=k + 1, idem=f"p{k}")
+                )
+            before = await m.dispatch(req("query", session="s", jobs=True))
+            appends.clear()
+
+            # gather admits every write before the worker wakes: one batch
+            plan = faults.activate(faults.parse_plan(f"{point}=error:EIO@times1"))
+            failed = await asyncio.gather(
+                *(m.dispatch(r) for r in batch_requests()), return_exceptions=True
+            )
+            faults.deactivate()
+            assert plan.stats()["fired"] == {point: 1}
+            assert primary_batches() == [len(BATCH)]  # one append, all of it
+            assert all(
+                isinstance(e, ServiceError) and e.code is ErrorCode.DEGRADED
+                for e in failed
+            ), failed
+
+            for _ in range(500):
+                if m.sessions["s"].degraded is None:
+                    break
+                await asyncio.sleep(0.01)
+            assert m.sessions["s"].degraded is None
+            # memory, journal and replica: the pre-batch state
+            assert await m.dispatch(req("query", session="s", jobs=True)) == before
+            assert m.stats("s")["journal"]["last_lsn"] == 3
+            assert durable_lsn(sdir) == 3
+            assert replica.repl_status()["sessions"] == {"s": 3}
+            assert await replica.dispatch(req("query", session="s", jobs=True)) == before
+
+            # the idempotent retry applies each op exactly once
+            appends.clear()
+            first = await asyncio.gather(*(m.dispatch(r) for r in batch_requests()))
+            assert [a["lsn"] for a in first] == list(range(4, 4 + len(BATCH)))
+            again = await asyncio.gather(*(m.dispatch(r) for r in batch_requests()))
+            assert again == first  # dedup hits: no new records
+            assert primary_batches() == [len(BATCH)]
+            after = await m.dispatch(req("query", session="s", jobs=True))
+            assert sorted(row[0] for row in after["jobs"]) == sorted(
+                ["p1", "p2"] + [f"b{k}" for k in range(6)]
+            )
+            assert replica.repl_status()["sessions"] == {"s": 3 + len(BATCH)}
+            assert await replica.dispatch(req("query", session="s", jobs=True)) == after
+        finally:
+            faults.deactivate()
+            await m.shutdown()
+            await rsrv.stop()
+
+    run(main())
+
+
+def test_exit_inside_a_batch_append_keeps_every_acked_op(tmp_path):
+    """``journal.append.fsync=exit`` kills the server inside the append
+    of a pipelined burst's batch (written, not yet fsynced): none of the
+    burst was acknowledged, and the restarted server holds every
+    acknowledged op and replays cleanly."""
+    data = str(tmp_path / "data")
+    ready = str(tmp_path / "ready.json")
+    proc, port = spawn_server(
+        data, ready, ["--faults", "journal.append.fsync=exit@after3,times1"]
+    )
+    try:
+        with ServiceClient(port=port, timeout=10.0) as c:
+            c.open("s", {"max_size": MAX_SIZE})
+            acked = [c.insert("s", f"a{k}", k + 1, idem=f"a{k}") for k in range(3)]
+        burst = b"".join(
+            (json.dumps({"op": "insert", "id": k, "session": "s",
+                         "name": f"b{k}", "size": 1 + k % 5}) + "\n").encode()
+            for k in range(8)
+        )
+        with socket.create_connection(("127.0.0.1", port), timeout=10.0) as sock:
+            sock.sendall(burst)
+            got = b""
+            try:
+                while chunk := sock.recv(65536):
+                    got += chunk
+            except ConnectionResetError:
+                pass
+        assert got == b""  # the server died before answering any of it
+        assert proc.wait(timeout=30) == 137
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+
+    assert run_fsck([os.path.join(data, "s")]).clean
+    proc, port = spawn_server(data, ready)
+    try:
+        with ServiceClient(port=port, timeout=10.0) as c:
+            q = c.query("s", jobs=True)
+            c.shutdown()
+        assert proc.wait(timeout=30) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+    names = {row[0] for row in q["jobs"]}
+    assert {res["placed"]["name"] for res in acked} == {f"a{k}" for k in range(3)}
+    assert {f"a{k}" for k in range(3)} <= names
+    # What survived of the burst is a prefix of it, and the server holds
+    # exactly what replaying the acked ops and that prefix produces.
+    survived = sum(f"b{k}" in names for k in range(8))
+    ops = [("insert", f"a{k}", k + 1) for k in range(3)]
+    ops += [("insert", f"b{k}", 1 + k % 5) for k in range(survived)]
+    _, ref_jobs, ref_objective = reference_run(SessionConfig(max_size=MAX_SIZE), ops)
+    assert q["jobs"] == ref_jobs
+    assert q["objective"] == ref_objective

@@ -5,14 +5,20 @@ one connection and on the replica link.
 * The burst-equivalence contract (hypothesis): random bursts of request
   lines over 2-3 sessions, written with one ``write`` and no read, get
   the same answers, line for line and in order, as the same lines sent
-  one at a time to a fresh server.  Open, close, stats and ping are
-  barriers, so state they change or report is never raced.
+  one at a time to a fresh server, and so do the final ``query`` and
+  ``stats`` of every session.  Open, close, stats and ping are
+  barriers, so state they change or report is never raced.  Writes
+  carry idempotency keys drawn from a small pool, so a burst repeats
+  keys inside one group-commit batch.  The contract holds under
+  ``fsync=never``, under ``fsync=always``, and against a primary with a
+  quorum replica.
 * The in-flight bound: a connection that writes twice ``queue_depth``
   inserts to one session without reading is never shed -- the server
   stops reading instead.
 * Overlap: eight quorum-replicated inserts on eight sessions through one
   client connection and one replica link take one replica round trip,
-  not eight; and an insert that evicts another session is answered
+  not eight; 32 pipelined into one session share one ship (group
+  commit); and an insert that evicts another session is answered
   before that session's eviction checkpoint runs.
 * A failed answer write (the ``server.conn.write`` failpoint, or a peer
   that reset mid-burst) aborts only its connection; the session workers
@@ -45,8 +51,13 @@ def run(coro):
     return asyncio.run(coro)
 
 
-async def start_server(root, **kw):
-    srv = ServiceServer(SessionManager(str(root), fsync="never", **kw), port=0)
+async def start_server(root, fsync="never", replica_port=None, **kw):
+    manager = SessionManager(str(root), fsync=fsync, **kw)
+    if replica_port is not None:
+        manager.set_replicator(
+            Replicator([("127.0.0.1", replica_port)], ack_mode="quorum")
+        )
+    srv = ServiceServer(manager, port=0)
     await srv.start()
     return srv
 
@@ -84,15 +95,35 @@ async def send_one_at_a_time(port, lines):
     return answers
 
 
-def burst_vs_serial(root, lines, **kw):
+def burst_vs_serial(root, lines, *, replicated=False, **kw):
+    """The answers to ``lines`` sent as one burst and one at a time, each
+    to a fresh server (with a fresh quorum replica when ``replicated``)."""
+
     async def main():
         answers = []
         for mode, send in (("burst", send_burst), ("serial", send_one_at_a_time)):
-            srv = await start_server(root / mode, **kw)
+            replica = None
+            if replicated:
+                replica = ServiceServer(
+                    SessionManager(
+                        str(root / mode / "replica"),
+                        fsync=kw.get("fsync", "never"),
+                        replica_of="primary",
+                    ),
+                    port=0,
+                )
+                await replica.start()
+            srv = await start_server(
+                root / mode / "primary",
+                replica_port=replica.tcp_port if replica is not None else None,
+                **kw,
+            )
             try:
                 answers.append(await send(srv.tcp_port, lines))
             finally:
                 await srv.stop()
+                if replica is not None:
+                    await replica.stop()
         return answers
 
     return run(main())
@@ -115,25 +146,40 @@ def without_uptime(answer):
 
 JOB_NAMES = ("j0", "j1", "j2", "j3")
 
+#: Few enough keys that bursts repeat them, inside one batch too.
+IDEM_KEYS = (None, "k0", "k1", "k2")
+
 
 @st.composite
 def bursts(draw):
     sessions = ["a", "b", "c"][: draw(st.integers(2, 3))]
     session = st.sampled_from(sessions)
-    request = st.one_of(
-        st.tuples(st.just("open"), session),
+    idem = st.sampled_from(IDEM_KEYS)
+    write = st.one_of(
         st.tuples(st.just("insert"), session, st.sampled_from(JOB_NAMES),
-                  st.integers(1, 8)),
-        st.tuples(st.just("delete"), session, st.sampled_from(JOB_NAMES)),
+                  st.integers(1, 8), idem),
+        st.tuples(st.just("delete"), session, st.sampled_from(JOB_NAMES), idem),
+    )
+    other = st.one_of(
+        st.tuples(st.just("open"), session),
         st.tuples(st.just("query"), session, st.booleans()),
         st.tuples(st.just("close"), session),
         st.tuples(st.just("stats"), st.one_of(st.none(), session)),
         st.tuples(st.just("ping")),
     )
-    reqs = draw(st.lists(request, min_size=3, max_size=38))
+    # Runs of writes, which a session commits as one batch, between the
+    # other ops, which end batches.
+    runs = draw(st.lists(
+        st.one_of(st.lists(write, min_size=1, max_size=8), st.tuples(other)),
+        min_size=2, max_size=12,
+    ))
+    reqs = [r for run in runs for r in run][:38]
     # Exactly one malformed line and one request on an unknown session.
     reqs.insert(draw(st.integers(0, len(reqs))), ("malformed",))
-    reqs.insert(draw(st.integers(0, len(reqs))), ("insert", "zz", "j0", 1))
+    reqs.insert(draw(st.integers(0, len(reqs))), ("insert", "zz", "j0", 1, None))
+    # Then every session's final state.
+    for sid in sessions:
+        reqs += [("query", sid, True), ("stats", sid)]
     return reqs
 
 
@@ -145,9 +191,12 @@ def encode_burst(reqs):
         elif op == "open":
             lines.append(wire(i, "open", session=args[0], config={"max_size": 16}))
         elif op == "insert":
-            lines.append(wire(i, "insert", session=args[0], name=args[1], size=args[2]))
+            key = {"idem": args[3]} if args[3] is not None else {}
+            lines.append(wire(i, "insert", session=args[0], name=args[1],
+                              size=args[2], **key))
         elif op == "delete":
-            lines.append(wire(i, "delete", session=args[0], name=args[1]))
+            key = {"idem": args[2]} if args[2] is not None else {}
+            lines.append(wire(i, "delete", session=args[0], name=args[1], **key))
         elif op == "query":
             extra = {"jobs": True} if args[1] else {}
             lines.append(wire(i, "query", session=args[0], **extra))
@@ -164,6 +213,32 @@ def encode_burst(reqs):
 _EXAMPLE = itertools.count()
 
 
+def without_fsyncs(answer):
+    """``answer`` without the journal's fsync count, the one figure group
+    commit exists to change: under ``fsync=always`` a burst's batch
+    fsyncs once where the same writes sent one at a time fsync each."""
+    result = answer.get("result")
+    if isinstance(result, dict):
+        for block in [result, *result.get("per_session", [])]:
+            journal = block.get("journal")
+            if isinstance(journal, dict):
+                journal.pop("fsyncs", None)
+    return answer
+
+
+def check_burst(tmp_path_factory, reqs, **kw):
+    root = tmp_path_factory.mktemp(f"burst{next(_EXAMPLE)}")
+    lines = encode_burst(reqs)
+    burst, serial = burst_vs_serial(root, lines, **kw)
+    assert len(burst) == len(lines)
+    if kw.get("fsync", "never") != "never":
+        burst = [without_fsyncs(a) for a in burst]
+        serial = [without_fsyncs(a) for a in serial]
+    assert [without_uptime(a) for a in burst] == [
+        without_uptime(a) for a in serial
+    ]
+
+
 @settings(
     max_examples=200,
     deadline=None,
@@ -171,13 +246,27 @@ _EXAMPLE = itertools.count()
 )
 @given(reqs=bursts())
 def test_burst_answers_as_one_at_a_time(tmp_path_factory, reqs):
-    root = tmp_path_factory.mktemp(f"burst{next(_EXAMPLE)}")
-    lines = encode_burst(reqs)
-    burst, serial = burst_vs_serial(root, lines)
-    assert len(burst) == len(lines)
-    assert [without_uptime(a) for a in burst] == [
-        without_uptime(a) for a in serial
-    ]
+    check_burst(tmp_path_factory, reqs)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(reqs=bursts())
+def test_burst_answers_as_one_at_a_time_under_fsync_always(tmp_path_factory, reqs):
+    check_burst(tmp_path_factory, reqs, fsync="always")
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(reqs=bursts())
+def test_burst_answers_as_one_at_a_time_with_a_quorum_replica(tmp_path_factory, reqs):
+    check_burst(tmp_path_factory, reqs, fsync="always", replicated=True)
 
 
 def test_open_and_close_are_barriers_in_a_burst(tmp_path):
@@ -261,6 +350,40 @@ def test_replicated_writes_of_different_sessions_overlap(tmp_path):
     results, elapsed = run(main())
     assert [r["lsn"] for r in results] == [1] * 8
     assert elapsed < 4 * delay, f"8 replicated writes took {elapsed:.2f} s"
+
+
+def test_writes_queued_on_one_session_share_one_ship(tmp_path):
+    """32 quorum-acked inserts pipelined into one session, against a
+    replica that takes 0.1 s per ack: the worker commits the queued run
+    as one batch, so they share one ``repl_apply`` frame and one ack
+    instead of waiting out 32 in a row."""
+    delay, writes = 0.1, 32
+
+    async def main():
+        frames = []
+        stub, stub_port = await start_slow_replica(delay, frames)
+        srv = await start_server(tmp_path / "primary", replica_port=stub_port)
+        try:
+            async with AsyncServiceClient(port=srv.tcp_port) as c:
+                await c.open("s")
+                t0 = time.perf_counter()
+
+                async def insert(k):
+                    res = await c.insert("s", f"j{k}", 1 + k % 8)
+                    return res, time.perf_counter() - t0
+
+                answers = await asyncio.gather(*(insert(k) for k in range(writes)))
+        finally:
+            await srv.stop()
+            stub.close()
+        return answers, [f for f in frames if f.get("op") == "repl_apply"]
+
+    answers, applies = run(main())
+    assert sorted(res["lsn"] for res, _ in answers) == list(range(1, writes + 1))
+    slowest = max(elapsed for _, elapsed in answers)
+    assert slowest < 4 * delay, f"the slowest of {writes} writes took {slowest:.2f} s"
+    assert len(applies) <= 3, [len(f["records"]) for f in applies]
+    assert sum(len(f["records"]) for f in applies) >= writes
 
 
 def test_answer_is_written_before_the_victims_eviction(tmp_path):

@@ -276,7 +276,7 @@ async def _pinned_script(base):
                          config=cfg))
     await b.dispatch(req("insert", session="s1", name="j7", size=1,
                          idem="k8"))
-    line = b.sessions["s1"].journal.last_line
+    line = b.sessions["s1"].journal.last_lines[-1]
     await r.dispatch(req("repl_apply", session="s1", records=[line]))
     await r.dispatch(req("repl_apply", session="s1", records=[line]))
     # degraded heal: a failed append, then a snapshot heals inline
