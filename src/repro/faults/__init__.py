@@ -1,8 +1,8 @@
 """Deterministic fault injection for the serving stack (docs/FAULTS.md).
 
-The activation surface mirrors :mod:`repro.obs.state`: one module-level
-:data:`ACTIVE` plan, ``None`` by default, so an instrumented code path
-costs exactly one attribute test when fault injection is off::
+The activation surface is one module-level :data:`ACTIVE` plan,
+``None`` by default, so an instrumented code path costs exactly one
+attribute test when fault injection is off::
 
     from repro import faults
 

@@ -1,4 +1,4 @@
-"""Observability: metrics registry, structured tracing, profiling hooks.
+"""Observability: metrics registry, structured tracing, logging.
 
 Every headline claim of the paper is a statement about counted events --
 amortized reallocation cost per request (Thm 1/9), rebuild cascades and
@@ -9,9 +9,7 @@ lost slots in the k-cursor table (Thms 16/18/19), PMA recopy volume (the
   scheduler, k-cursor and PMA hot paths publish to when (and only when)
   instrumentation is attached -- zero overhead otherwise;
 * a :class:`Tracer` emitting structured JSONL with nested spans, exact
-  enough that :func:`replay_trace` reproduces the in-memory totals;
-* profiling hooks (:func:`profile_span` / :func:`profiled`) for timing
-  named code paths into the same registry.
+  enough that :func:`replay_trace` reproduces the in-memory totals.
 
 Quick start::
 
@@ -46,8 +44,6 @@ from repro.obs.metrics import (
     percentile,
     summarize,
 )
-from repro.obs.profile import NULL_CONTEXT, profile_span, profiled
-from repro.obs.state import disable, enable, is_enabled
 from repro.obs.trace import (
     SCHEMA_VERSION,
     TRACE_SCHEMA,
@@ -66,7 +62,6 @@ __all__ = [
     "KCursorObserver",
     "LedgerObserver",
     "MetricsRegistry",
-    "NULL_CONTEXT",
     "PMAObserver",
     "SCHEMA_VERSION",
     "Series",
@@ -77,14 +72,9 @@ __all__ = [
     "attach",
     "configure_logging",
     "console",
-    "disable",
-    "enable",
     "format_snapshot",
     "get_logger",
-    "is_enabled",
     "percentile",
-    "profile_span",
-    "profiled",
     "read_trace",
     "summarize",
     "replay_trace",

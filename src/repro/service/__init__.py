@@ -23,8 +23,8 @@ schedulers of :mod:`repro.core` into a served system:
   policy every client runs: seeded backoff and the pure ``CallPlan``;
 * :mod:`repro.service.client`   -- sync + async client library with
   whole-call timeouts, reconnects, retries and idempotency keys;
-* :mod:`repro.service.loadgen`  -- closed-loop load generator backing
-  ``benchmarks/results/BENCH_service.json``.
+* :mod:`repro.service.loadgen`  -- closed-loop load generator the
+  service smokes drive load with.
 
 Layering: this package builds on ``repro.core``, ``repro.obs`` and
 ``repro.faults`` only (enforced by reprolint RL002); ``repro.sim`` and

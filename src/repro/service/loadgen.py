@@ -10,9 +10,8 @@ server -- and throughput is the sum over sessions.
 Latencies feed the shared :class:`~repro.obs.metrics.MetricsRegistry`
 (``service.client.*``) *and* are kept raw per session so the summary can
 report exact p50/p90/p99 (power-of-two buckets are too coarse for tail
-percentiles).  The result document is what
-``scripts/service_loadgen.py`` writes to
-``benchmarks/results/BENCH_service.json``.
+percentiles).  ``scripts/service_smoke.py`` and
+``scripts/service_trace_smoke.py`` drive the service with it.
 """
 
 from __future__ import annotations
@@ -23,17 +22,13 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Any, Optional
 
-# Re-exported for backward compatibility: the one exact nearest-rank
-# implementation now lives in repro.obs.metrics (shared with the chaos
-# harness and the service latency series).
-from repro.obs.metrics import MetricsRegistry, percentile, summarize
+from repro.obs.metrics import MetricsRegistry, summarize
 from repro.obs.trace import Tracer
 from repro.service.client import AsyncServiceClient
 from repro.service.protocol import ErrorCode, ServiceError
 
 __all__ = [
     "LoadgenOptions",
-    "percentile",
     "run_loadgen",
     "run_loadgen_sync",
 ]
@@ -142,7 +137,7 @@ async def run_loadgen(
     registry: Optional[MetricsRegistry] = None,
     tracer: Optional[Tracer] = None,
 ) -> dict[str, Any]:
-    """Run the closed loop; returns the BENCH_service result document.
+    """Run the closed loop; returns the result document.
 
     ``tracer`` is shared by every driven session's client (the detached
     span API interleaves safely), so one loadgen run produces a single

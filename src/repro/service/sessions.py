@@ -1517,7 +1517,16 @@ class SessionManager:
         accounting and in-flight idempotent retries survive the move.
         The session then answers RETRY_LATER until sealed (or the hold
         expires -- the handoff failed and this shard resumes authority).
+        A primary that ships to replicas refuses before anything freezes:
+        the move would carry only its own copy, and a failover would then
+        serve the replicas' pre-move session.
         """
+        if self.replicator is not None:
+            raise ServiceError(
+                ErrorCode.BAD_REQUEST,
+                "migrate_out refused: this shard ships to replicas, which a "
+                "move would leave holding the pre-move session",
+            )
         sess.migrating = None  # a retried migrate_out refreshes the freeze
         sched = self._hydrated(sess)
         if sess.degraded is not None:

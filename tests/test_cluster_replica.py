@@ -28,7 +28,7 @@ from repro.cli import main
 from repro.cluster.client import AsyncClusterClient, ClusterClient
 from repro.cluster.group import ShardGroup, ShardSpec
 from repro.cluster.placement import PlacementMap
-from repro.cluster.rebalance import REALLOC_FILE, ReallocationLedger
+from repro.cluster.rebalance import REALLOC_FILE, ReallocationLedger, migrate_session
 from repro.obs.metrics import MetricsRegistry
 from repro.service.client import RetryPolicy, ServiceClient
 from repro.service.protocol import ErrorCode, Request, ServiceError
@@ -551,5 +551,48 @@ def test_rebalance_refuses_a_replicated_cluster(tmp_path):
         assert not os.path.exists(root / "placement.json")
         with ServiceClient(primary.host, primary.port, timeout=10.0) as c:
             assert c.query("s0")["active"] == 1  # nothing moved
+    finally:
+        group.stop()
+
+
+def test_replicated_primary_refuses_migrate_out(tmp_path):
+    """A hand-driven ``migrate_session`` off a primary that ships to
+    replicas stops at ``migrate_out``: nothing freezes, nothing lands in
+    the ledger, and a failover still serves every acknowledged write."""
+    root = tmp_path / "cluster"
+    group = ShardGroup(
+        str(root), 2, fsync="always", replicas=1, ack_mode="quorum"
+    )
+    specs = {s.name: s for s in group.start()}
+    ledger = ReallocationLedger(str(root / REALLOC_FILE))
+    try:
+        with ServiceClient(specs["shard-0"].host, specs["shard-0"].port,
+                           timeout=10.0) as src, \
+                ServiceClient(specs["shard-1"].host, specs["shard-1"].port,
+                              timeout=10.0) as dst:
+            src.open("mv")
+            for i in range(10):
+                src.insert("mv", f"j{i}", i + 1)
+            with pytest.raises(ServiceError) as ei:
+                migrate_session(src, dst, "mv", target_name="shard-1",
+                                source_name="shard-0", ledger=ledger)
+            assert ei.value.code is ErrorCode.BAD_REQUEST
+            assert "replicas" in str(ei.value)
+            assert ledger.read() == []
+            # Not frozen: the next write is acknowledged where it was.
+            src.insert("mv", "after", 3)
+            acked = src.query("mv", jobs=True)
+            assert acked["active"] == 11
+            with pytest.raises(ServiceError):
+                dst.query("mv")  # the target never adopted it
+
+        group.kill("shard-0")
+        events = group.check_failover()
+        assert [ev["shard"] for ev in events] == ["shard-0"]
+        winner = next(s for s in group.all_specs()
+                      if s.name == events[0]["promoted"])
+        with ServiceClient(winner.host, winner.port, timeout=10.0) as c:
+            promoted = c.query("mv", jobs=True)
+        assert promoted == acked
     finally:
         group.stop()

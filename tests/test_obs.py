@@ -10,17 +10,12 @@ import pytest
 
 from repro.obs import (
     MetricsRegistry,
-    NULL_CONTEXT,
     TraceSchemaError,
     Tracer,
     attach,
     configure_logging,
-    disable,
-    enable,
     format_snapshot,
     get_logger,
-    profile_span,
-    profiled,
     read_trace,
     replay_trace,
     validate_record,
@@ -159,31 +154,6 @@ def test_disabled_tables_allocate_no_event_records():
     pma = PackedMemoryArray()
     assert pma._observer is None
     pma.insert(0, 1)
-
-
-def test_profile_span_disabled_is_shared_null_context():
-    disable()
-    assert profile_span("anything") is NULL_CONTEXT
-    assert profile_span("other") is NULL_CONTEXT  # no per-call allocation
-
-
-def test_profile_span_and_profiled_enabled():
-    reg = enable()
-    try:
-        with profile_span("unit"):
-            pass
-        assert reg.value("unit.calls") == 1
-        assert reg.histogram("unit.seconds").count == 1
-
-        @profiled("fn")
-        def f(x):
-            return x + 1
-
-        assert f(1) == 2
-        assert reg.value("fn.calls") == 1
-    finally:
-        disable()
-    assert f(1) == 2  # still works, now uninstrumented
 
 
 def test_attach_detach_restores_none():

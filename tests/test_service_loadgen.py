@@ -4,7 +4,8 @@ import asyncio
 
 import pytest
 
-from repro.service.loadgen import LoadgenOptions, percentile, run_loadgen
+from repro.obs.metrics import percentile
+from repro.service.loadgen import LoadgenOptions, run_loadgen
 from repro.service.server import ServiceServer
 from repro.service.sessions import SessionManager
 
