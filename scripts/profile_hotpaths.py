@@ -18,10 +18,13 @@ per op (client and server share the one event loop, so both count): a
 deterministic work number that, unlike wall-clock time, does not move
 with the machine or its load.
 
-``scheduler`` then profiles the ``planner`` shape: a scheduler from
-``repro.service.image.build_scheduler`` (Delta = 65,536, delta = 0.5)
-prefilled with 4,096 jobs, then 19,200 requests, half inserts and half
-deletes of a uniformly chosen live job, all seeded here.  It prints
+``scheduler`` then profiles two benchmark session shapes, each a
+scheduler from ``repro.service.image.build_scheduler`` taking 19,200
+requests after a prefill, half inserts and half deletes of a uniformly
+chosen live job, all seeded here: ``planner`` (p = 1, Delta = 65,536,
+delta = 0.5, a 4,096-job prefill, no cap on live jobs) and ``evict``
+(p = 4, so ``ParallelScheduler``; Delta = 1,024, delta = 0.5, a 16-job
+prefill, a delete whenever 64 jobs are live).  For each it prints
 cProfile calls per request, ``district_extent`` and ``ClassLayout.evicted``
 calls per request, and how many per-op reports the scheduler's ledger
 retains: deterministic counts of the kernel's work per op.
@@ -77,12 +80,21 @@ def _calls_to(stats: pstats.Stats, func: str, module: str) -> int:
     )
 
 
-def profile_planner_shape() -> None:
+#: (label, session config, prefill, live-job cap, seed) of the kernel
+#: shapes ``scheduler`` profiles: the benchmark's ``planner`` and ``evict``
+#: sessions.
+KERNEL_SHAPES = [
+    ("planner", {"max_size": 65536, "delta": 0.5}, 4096, None, 0),
+    ("evict", {"max_size": 1024, "delta": 0.5, "p": 4}, 16, 64, 1),
+]
+
+
+def profile_kernel_shape(label: str, cfg: dict, prefill: int, cap, seed: int) -> None:
     from repro.service.image import build_scheduler
     from repro.service.protocol import SessionConfig
 
-    max_size, prefill, ops = 65536, 4096, 19_200
-    rng = random.Random(0)
+    max_size, ops = cfg["max_size"], 19_200
+    rng = random.Random(seed)
     live: list[str] = []
     made = 0
 
@@ -100,9 +112,14 @@ def profile_planner_shape() -> None:
         live[k], live[-1] = live[-1], live[k]
         return ("delete", live.pop(), 0)
 
+    def write() -> tuple[str, str, int]:
+        if not live or ((cap is None or len(live) < cap) and rng.random() < 0.5):
+            return insert()
+        return delete()
+
     first = [insert() for _ in range(prefill)]
-    reqs = [insert() if not live or rng.random() < 0.5 else delete() for _ in range(ops)]
-    sched = build_scheduler(SessionConfig.from_mapping({"max_size": max_size, "delta": 0.5}))
+    reqs = [write() for _ in range(ops)]
+    sched = build_scheduler(SessionConfig.from_mapping(cfg))
     for _, name, w in first:
         sched.insert(name, w)
     pr = cProfile.Profile()
@@ -117,11 +134,11 @@ def profile_planner_shape() -> None:
     extents = _calls_to(stats, "district_extent", os.path.join("kcursor", "table.py"))
     evicted = _calls_to(stats, "evicted", os.path.join("core", "placement.py"))
     reports = sched.ledger.reports
-    print(f"scheduler/planner: {stats.total_calls / ops:.1f} calls/op ({ops} requests "
+    print(f"scheduler/{label}: {stats.total_calls / ops:.1f} calls/op ({ops} requests "
           f"after a {prefill}-job prefill)")
-    print(f"scheduler/planner: {extents / ops:.2f} district_extent calls/op, "
+    print(f"scheduler/{label}: {extents / ops:.2f} district_extent calls/op, "
           f"{evicted / ops:.2f} ClassLayout.evicted calls/op")
-    print(f"scheduler/planner: {len(reports) if reports is not None else 0} "
+    print(f"scheduler/{label}: {len(reports) if reports is not None else 0} "
           f"per-op reports retained by the ledger")
 
 
@@ -414,7 +431,8 @@ def main() -> int:
         attachment.detach()
         print(format_snapshot(registry.snapshot(), title=f"metrics ({which}):"))
     if which == "scheduler":
-        profile_planner_shape()
+        for shape in KERNEL_SHAPES:
+            profile_kernel_shape(*shape)
     return 0
 
 

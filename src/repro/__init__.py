@@ -18,6 +18,8 @@ See README.md for a tour, DESIGN.md for the system inventory, and
 EXPERIMENTS.md for claim-vs-measured results.
 """
 
+from typing import TYPE_CHECKING
+
 from repro.core import (
     Job,
     Ledger,
@@ -28,7 +30,9 @@ from repro.core import (
     costfn,
 )
 from repro.kcursor import KCursorSparseTable, Params
-from repro.pma import AdaptivePackedMemoryArray, PackedMemoryArray
+
+if TYPE_CHECKING:
+    from repro.pma import AdaptivePackedMemoryArray, PackedMemoryArray
 
 __version__ = "1.0.0"
 
@@ -46,3 +50,24 @@ __all__ = [
     "costfn",
     "__version__",
 ]
+
+#: Public names loaded on first use (PEP 562): the packed-memory arrays
+#: need numpy, which the service (``repro serve``) never does.
+_LAZY = {
+    "PackedMemoryArray": "repro.pma",
+    "AdaptivePackedMemoryArray": "repro.pma",
+}
+
+
+def __getattr__(name: str) -> object:
+    if name in _LAZY:
+        import importlib
+
+        value = getattr(importlib.import_module(_LAZY[name]), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))

@@ -16,7 +16,7 @@ identical code, so experiment E8 isolates exactly the data-structure swap.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.core.single import SingleServerScheduler
 from repro.pma import PackedMemoryArray
@@ -80,9 +80,8 @@ class PMASegmentManager:
         end = self.pma.position_of(prefix + self.counts[j] - 1) + 1
         return (start, end)
 
-    def extents(self, lo: int = 0, hi: Optional[int] = None) -> list[tuple[int, int]]:
-        hi = self._k if hi is None else hi
-        return [self.extent(j) for j in range(lo, hi)]
+    def extents(self, classes: Optional[Iterable[int]] = None) -> list[tuple[int, int]]:
+        return [self.extent(j) for j in (range(self._k) if classes is None else classes)]
 
     def grow_classes(self, new_num: int) -> None:
         while self._k < new_num:

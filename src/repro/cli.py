@@ -34,7 +34,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.analysis.metrics import approximation_ratio
 from repro.core.costfn import STANDARD_FAMILY
 
 
@@ -906,13 +905,16 @@ def main(argv: list[str] | None = None) -> int:
     p_costs = sub.add_parser("costs", help="classify the standard cost-function family")
     p_costs.set_defaults(fn=cmd_costs)
 
-    from repro.lint.cli import build_parser as build_lint_parser
-    from repro.lint.cli import run as run_lint_cmd
-
     p_lint = sub.add_parser("lint", help="run the reprolint invariant rules "
                                          "(docs/LINTING.md)")
-    build_lint_parser(p_lint)
-    p_lint.set_defaults(fn=run_lint_cmd)
+    # The lint options come from repro.lint: build them only when the
+    # command line can be `lint`, so other commands never import it.
+    if "lint" in (sys.argv[1:] if argv is None else argv):
+        from repro.lint.cli import build_parser as build_lint_parser
+        from repro.lint.cli import run as run_lint_cmd
+
+        build_lint_parser(p_lint)
+        p_lint.set_defaults(fn=run_lint_cmd)
 
     p_exp = sub.add_parser("experiments", help="run experiments (see repro.sim.experiments)")
     p_exp.add_argument("ids", nargs="*", default=[])

@@ -11,14 +11,14 @@ typically in :mod:`repro.analysis`.
 
 Per the paper's definition, a request's reallocation cost counts each job
 whose scheduling changed *once*, so the ledger deduplicates moves within a
-single operation.
+single operation (:meth:`Ledger.commit`, the one place that rule lives).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Optional, Protocol
+from typing import AbstractSet, Callable, Hashable, Iterable, NamedTuple, Optional, Protocol
 
 
 class ReallocKind(enum.Enum):
@@ -28,32 +28,36 @@ class ReallocKind(enum.Enum):
     REMOVE = "remove"  # job left the system (no cost; bookkeeping)
 
 
-@dataclass(frozen=True)
-class Reallocation:
+# Read per event on the hot path: a global is far cheaper to read than an
+# Enum member, whose lookup goes through the Enum metaclass.
+_MOVE = ReallocKind.MOVE
+_MIGRATE = ReallocKind.MIGRATE
+
+
+class Reallocation(NamedTuple):
+    """One ledger event: a job, its size and what happened to it."""
+
     name: Hashable
     size: int
     kind: ReallocKind
 
 
-@dataclass
+@dataclass(slots=True)
 class OpReport:
-    """All (re)allocations triggered by one insert/delete request."""
+    """All (re)allocations triggered by one insert/delete request.
+
+    ``events`` lists them as they were recorded.  :meth:`Ledger.commit`
+    counts them the paper's way into ``moved`` (each job whose schedule
+    changed, once, with its size) and ``migrated`` (those of them that
+    changed servers); observers and analyses read those two.
+    """
 
     kind: str  # "insert" | "delete"
     name: Hashable
     size: int
     events: list[Reallocation] = field(default_factory=list)
-
-    def moved_sizes(self) -> list[int]:
-        """Sizes of jobs whose schedule changed (deduplicated per job)."""
-        seen: dict[Hashable, int] = {}
-        for ev in self.events:
-            if ev.kind in (ReallocKind.MOVE, ReallocKind.MIGRATE):
-                seen[ev.name] = ev.size
-        return list(seen.values())
-
-    def migrations(self) -> int:
-        return len({ev.name for ev in self.events if ev.kind is ReallocKind.MIGRATE})
+    moved: dict[Hashable, int] = field(default_factory=dict)
+    migrated: AbstractSet[Hashable] = frozenset()
 
 
 class LedgerObserverProto(Protocol):
@@ -110,6 +114,14 @@ class Ledger:
             raise RuntimeError("no open operation")
         self._open.events.append(Reallocation(name, size, kind))
 
+    def adopt(self, events: Iterable[Reallocation]) -> None:
+        """Append events another ledger already recorded (a child
+        scheduler's, :class:`repro.core.parallel.ParallelScheduler`) to
+        the open operation, as they are."""
+        if self._open is None:
+            raise RuntimeError("no open operation")
+        self._open.events.extend(events)
+
     def commit(self) -> OpReport:
         op = self._open
         if op is None:
@@ -121,13 +133,28 @@ class Ledger:
             self.alloc_hist[op.size] = self.alloc_hist.get(op.size, 0) + 1
         else:
             self.deletes += 1
-        for w in op.moved_sizes():
-            self.realloc_hist[w] = self.realloc_hist.get(w, 0) + 1
-        migs = op.migrations()
-        self.total_migrations += migs
-        for ev in op.events:
-            if ev.kind is ReallocKind.MIGRATE:
-                self.migrate_hist[ev.size] = self.migrate_hist.get(ev.size, 0) + 1
+        # The paper's counting rule, in one pass: a job whose schedule
+        # changed counts once per request (insertion order is its first
+        # event's, the size its last one's), and a migration outranks a
+        # plain move.  The migrate histogram counts every MIGRATE event.
+        moved = op.moved
+        migrated: Optional[set[Hashable]] = None
+        for name, size, kind in op.events:
+            if kind is _MOVE:
+                moved[name] = size
+            elif kind is _MIGRATE:
+                moved[name] = size
+                if migrated is None:
+                    migrated = set()
+                migrated.add(name)
+                self.migrate_hist[size] = self.migrate_hist.get(size, 0) + 1
+        if moved:
+            hist = self.realloc_hist
+            for w in moved.values():
+                hist[w] = hist.get(w, 0) + 1
+        if migrated is not None:
+            op.migrated = migrated
+            self.total_migrations += len(migrated)
         self.last = op
         if self.reports is not None:
             self.reports.append(op)
@@ -158,7 +185,7 @@ class Ledger:
         """Per-operation reallocation cost (requires keep_reports=True)."""
         if self.reports is None:
             raise RuntimeError("ledger was built with keep_reports=False")
-        return [sum(f(w) for w in op.moved_sizes()) for op in self.reports]
+        return [sum(f(w) for w in op.moved.values()) for op in self.reports]
 
     def moved_jobs_total(self) -> int:
         return sum(self.realloc_hist.values())

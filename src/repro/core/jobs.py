@@ -14,7 +14,7 @@ integer in the class.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Hashable
 
 
@@ -30,35 +30,36 @@ class Job:
             raise ValueError(f"job size must be a positive integer, got {self.size}")
 
 
-@dataclass
+@dataclass(slots=True)
 class PlacedJob:
     """A job plus its placement in a schedule array.
 
     ``start`` is the absolute slot at which the job begins; the job
     occupies ``[start, start + size)`` and completes at ``start + size``.
     ``server`` identifies the machine (always 0 on a single server).
+    ``name`` and ``size`` copy the job's, so the scheduler's hot loops read
+    plain slots; equality and ``repr`` ignore them, as they did the
+    properties they replace.
     """
 
     job: Job
     klass: int
     start: int
     server: int = 0
+    name: Hashable = field(init=False, repr=False, compare=False)
+    size: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def name(self) -> Hashable:
-        return self.job.name
-
-    @property
-    def size(self) -> int:
-        return self.job.size
+    def __post_init__(self) -> None:
+        self.name = self.job.name
+        self.size = self.job.size
 
     @property
     def end(self) -> int:
-        return self.start + self.job.size
+        return self.start + self.size
 
     @property
     def completion(self) -> int:
-        return self.start + self.job.size
+        return self.start + self.size
 
 
 class SizeClasser:

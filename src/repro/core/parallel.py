@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Hashable, Optional
 
-from repro.core.events import Ledger, ReallocKind
+from repro.core.events import Ledger, Reallocation, ReallocKind
 from repro.core.jobs import Job, PlacedJob, SizeClasser
 from repro.core.single import SingleServerScheduler
 
@@ -87,7 +87,7 @@ class ParallelScheduler:
         return len(sched.layouts[j]) if j < sched.num_classes else 0
 
     def class_counts(self, j: int) -> list[int]:
-        return [self.class_count(j, s) for s in range(self.p)]
+        return [len(s.layouts[j]) if j < len(s.layouts) else 0 for s in self.servers]
 
     def jobs(self) -> list[PlacedJob]:
         out: list[PlacedJob] = []
@@ -115,7 +115,8 @@ class ParallelScheduler:
                 sched._grow_for(size)
         j = self.classer.class_of(size)
         # Round-robin per class: fewest class-j jobs wins, ties by id.
-        server = min(range(self.p), key=lambda s: (self.class_count(j, s), s))
+        counts = self.class_counts(j)
+        server = counts.index(min(counts))
         self.ledger.begin("insert", name, size)
         try:
             placed = self.servers[server].insert(name, size)
@@ -225,7 +226,7 @@ class ParallelScheduler:
         Invariant 5 holds for class j."""
         while True:
             counts = self.class_counts(j)
-            donor = max(range(self.p), key=lambda s: (counts[s], -s))
+            donor = counts.index(max(counts))  # a fullest server, ties by id
             if counts[donor] - counts[target] <= 1:
                 return
             donor_sched = self.servers[donor]
@@ -245,7 +246,7 @@ class ParallelScheduler:
         ``deficient``: migrate one job from a fullest server if needed."""
         counts = self.class_counts(j)
         low = counts[deficient]
-        donor = max(range(self.p), key=lambda s: (counts[s], -s))
+        donor = counts.index(max(counts))  # a fullest server, ties by id
         if counts[donor] - low <= 1:
             return
         donor_sched = self.servers[donor]
@@ -259,24 +260,24 @@ class ParallelScheduler:
         self._where[vname] = deficient
 
     def _replay_child(self, server: int, migrated: Optional[Hashable]) -> None:
-        """Copy the child's last op events into the global ledger.
+        """Adopt the child's last op events into this scheduler's ledger.
 
-        The migrated job's PLACE is rewritten as MIGRATE so it is priced
-        as a (migrating) reallocation rather than a fresh allocation;
-        its REMOVE on the donor is dropped.
+        The child's event records are adopted as they are, not recorded
+        again, except the migrated job's PLACE, which is rewritten as
+        MIGRATE so it is priced as a (migrating) reallocation rather than
+        a fresh allocation.  The donor's REMOVE stays (it costs nothing).
         """
         report = self.servers[server].ledger.last
         assert report is not None  # the child just committed an op
-        for ev in report.events:
-            kind = ev.kind
-            if ev.name == migrated and kind is ReallocKind.PLACE:
-                kind = ReallocKind.MIGRATE
-            if kind is ReallocKind.PLACE and report.kind == "insert" and ev.name == report.name:
-                if migrated is None:
-                    # the genuinely new job: allocation, not reallocation
-                    self.ledger.record(ev.name, ev.size, ReallocKind.PLACE)
-                    continue
-            self.ledger.record(ev.name, ev.size, kind)
+        events = report.events
+        if migrated is not None:
+            events = [
+                Reallocation(ev.name, ev.size, ReallocKind.MIGRATE)
+                if ev.kind is ReallocKind.PLACE and ev.name == migrated
+                else ev
+                for ev in events
+            ]
+        self.ledger.adopt(events)
 
     # ------------------------------------------------------------------
     # Validation

@@ -24,12 +24,13 @@ hinge of the reallocation-cost amortization (Lemma 3).
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
-from typing import Callable, Iterable, Iterator, Optional
+from bisect import bisect_left, bisect_right
+from typing import Iterable, Iterator, Optional
 
+from repro.core.events import Reallocation, ReallocKind
 from repro.core.jobs import Job, PlacedJob
 
-MoveCallback = Callable[[PlacedJob], None]
+_MOVE = ReallocKind.MOVE  # read per moved job (see repro.core.events)
 
 
 class ClassLayout:
@@ -104,7 +105,7 @@ class ClassLayout:
             i += 1
         j = n - 1
         tail: list[PlacedJob] = []
-        while j >= i and jobs[j].end > hi:
+        while j >= i and jobs[j].start + jobs[j].size > hi:
             tail.append(jobs[j])
             j -= 1
         out.extend(tail)
@@ -115,8 +116,10 @@ class ClassLayout:
         disjoint and sorted, so overlappers are contiguous)."""
         starts = self._starts
         i = bisect_left(starts, lo)
-        if i > 0 and self._jobs[i - 1].end > lo:
-            i -= 1
+        if i > 0:
+            prev = self._jobs[i - 1]
+            if prev.start + prev.size > lo:
+                i -= 1
         return i, bisect_left(starts, hi, i)
 
     def overlapping(self, lo: int, hi: int) -> list[PlacedJob]:
@@ -132,7 +135,7 @@ class ClassLayout:
         for k in range(i, j):
             pj = jobs[k]
             start = pj.start
-            end = start + pj.job.size
+            end = start + pj.size
             total += (end if end < hi else hi) - (start if start > lo else lo)
         return total
 
@@ -143,13 +146,13 @@ class ClassLayout:
         self,
         job: Job,
         seg: tuple[int, int],
-        on_move: Optional[MoveCallback] = None,
+        events: Optional[list[Reallocation]] = None,
         server: int = 0,
     ) -> PlacedJob:
         """(Re)place ``job`` inside segment ``seg``; returns its placement.
 
-        Existing jobs that change position are reported through
-        ``on_move`` (the scheduler records them as reallocations).
+        Each existing job that changes position is appended to ``events``
+        as a MOVE (the scheduler passes its open ledger operation's list).
         The caller must have already removed ``job``'s old placement.
         """
         s, e = seg
@@ -160,10 +163,10 @@ class ClassLayout:
 
         if v_incl < two_over_delta:
             # Case 1: tiny class -- rearrange everything; padding is 0.
-            return self._compact_and_place(job, s, e, on_move, server)
+            return self._compact_and_place(job, s, e, events, server)
         if v_incl <= 5.0 * w / self.delta:
             # Case 2: compact the whole class into the non-boundary region.
-            return self._compact_and_place(job, s + pad, e - pad, on_move, server)
+            return self._compact_and_place(job, s + pad, e - pad, events, server)
         # Case 3: find a subinterval of length ~[5w/d, 10w/d) with >= w free.
         # Lazy left-to-right sweep with a shared job pointer: stops at the
         # first subinterval with enough free space (usually the first).
@@ -192,24 +195,24 @@ class ClassLayout:
         if (ihi - ilo) - self.occupied_in(ilo, ihi) < w:
             # Defensive fallback (cannot occur when Property 1 holds):
             # compact the entire non-boundary region.
-            return self._compact_and_place(job, lo, hi, on_move, server)
+            return self._compact_and_place(job, lo, hi, events, server)
         # Extend to cover straddling jobs fully (keeps free space intact).
         i0, i1 = self._overlapping_range(ilo, ihi)
-        members = self._jobs[i0:i1]
-        if members:
-            ilo = min(ilo, members[0].start)
-            ihi = max(ihi, members[-1].end)
-        return self._rearrange(job, i0, i1, ilo, ihi, on_move, server)
+        if i1 > i0:
+            last = self._jobs[i1 - 1]
+            ilo = min(ilo, self._jobs[i0].start)
+            ihi = max(ihi, last.start + last.size)
+        return self._rearrange(job, i0, i1, ilo, ihi, events, server)
 
     def _compact_and_place(
         self,
         job: Job,
         lo: int,
         hi: int,
-        on_move: Optional[MoveCallback],
+        events: Optional[list[Reallocation]],
         server: int,
     ) -> PlacedJob:
-        return self._rearrange(job, 0, len(self._jobs), lo, hi, on_move, server)
+        return self._rearrange(job, 0, len(self._jobs), lo, hi, events, server)
 
     def _rearrange(
         self,
@@ -218,7 +221,7 @@ class ClassLayout:
         i1: int,
         lo: int,
         hi: int,
-        on_move: Optional[MoveCallback],
+        events: Optional[list[Reallocation]],
         server: int,
     ) -> PlacedJob:
         """Left-compact the member run ``self._jobs[i0:i1]`` into ``[lo, hi)``
@@ -231,7 +234,9 @@ class ClassLayout:
         list insertion -- no re-sort.
         """
         members = self._jobs[i0:i1]
-        need = sum(pj.size for pj in members) + job.size
+        need = job.size
+        for pj in members:
+            need += pj.size
         if need > hi - lo:
             raise RuntimeError(
                 f"class {self.klass}: placement region [{lo},{hi}) too small "
@@ -242,8 +247,8 @@ class ClassLayout:
             if pj.start != cursor:
                 pj.start = cursor
                 self._starts[idx] = cursor
-                if on_move is not None:
-                    on_move(pj)
+                if events is not None:
+                    events.append(Reallocation(pj.name, pj.size, _MOVE))
             cursor += pj.size
         placed = PlacedJob(job=job, klass=self.klass, start=cursor, server=server)
         self._jobs.insert(i1, placed)

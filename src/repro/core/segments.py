@@ -16,7 +16,7 @@ slots"), which is what the boundary padding then amortizes.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.kcursor import KCursorSparseTable, Params
 
@@ -91,9 +91,10 @@ class SegmentManager:
     def extent(self, j: int) -> tuple[int, int]:
         return self.table.district_extent(j)
 
-    def extents(self, lo: int = 0, hi: Optional[int] = None) -> list[tuple[int, int]]:
-        hi = self.num_classes if hi is None else hi
-        return [self.table.district_extent(j) for j in range(lo, hi)]
+    def extents(self, classes: Optional[Iterable[int]] = None) -> list[tuple[int, int]]:
+        """:meth:`extent` of each of ``classes`` (default: every class), in
+        order, from one table call."""
+        return self.table.district_extents(classes)
 
     def grow_classes(self, new_num: int) -> None:
         """Add districts at the end (requires the table's local tau mode)."""

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, Optional, Sequence
 
-from repro.core.events import Ledger, ReallocKind
+from repro.core.events import Ledger, Reallocation, ReallocKind
 from repro.core.jobs import Job, PlacedJob, SizeClasser
 from repro.core.placement import ClassLayout
 from repro.core.segments import SegmentManager
@@ -140,15 +140,15 @@ class SingleServerScheduler:
             self._grow_for(size)
         job = Job(name, size)
         j = self.classer.class_of(size)
-        self.ledger.begin("insert", name, size)
+        events = self.ledger.begin("insert", name, size).events
         try:
             moved = self.segments.apply_volume_change(j, size)
             # Only the classes the segment manager reports as moved, and
             # any left holding a job outside their segment, can have lost
             # slots; repair them largest first.
-            seg = self._repair(reversed(self._to_repair(moved, j)), j)
-            placed = self._place(job, j, seg)
-            self.ledger.record(name, size, ReallocKind.PLACE)
+            seg = self._repair(self._to_repair(moved, j)[::-1], j, events)
+            placed = self._place(job, j, seg, events)
+            events.append(Reallocation(name, size, ReallocKind.PLACE))
             self._jobs[name] = placed
         except BaseException:
             self.ledger.abort()
@@ -173,13 +173,13 @@ class SingleServerScheduler:
         if placed is None:
             raise KeyError(f"job {name!r} not active")
         j = placed.klass
-        self.ledger.begin("delete", name, placed.size)
+        events = self.ledger.begin("delete", name, placed.size).events
         try:
             self.layouts[j].remove(placed)
-            self.ledger.record(name, placed.size, ReallocKind.REMOVE)
+            events.append(Reallocation(name, placed.size, ReallocKind.REMOVE))
             moved = self.segments.apply_volume_change(j, -placed.size)
             # Deletions repair from the smallest affected class upward.
-            self._repair(self._to_repair(moved, j), j)
+            self._repair(self._to_repair(moved, j), j, events)
         except BaseException:
             self.ledger.abort()
             raise
@@ -198,45 +198,56 @@ class SingleServerScheduler:
         return sorted(set(moved).union(c for c in self._outside if c >= j))
 
     def _repair(
-        self, class_order: Iterable[int], j: int
+        self, order: Sequence[int], j: int, events: list[Reallocation]
     ) -> Optional[tuple[int, int]]:
-        """Re-place every job overlapping lost slots of its class.
+        """Re-place every job overlapping lost slots of its class, visiting
+        the classes in ``order`` and recording moves into ``events``.
 
         A class whose segment did not move and that held no job outside it
         cannot have lost slots, so the caller passes only the others
-        (:meth:`_to_repair`).  Returns class ``j``'s segment if it was read
-        on the way (for :meth:`_place`).
+        (:meth:`_to_repair`).  Their extents come from one table walk.  A
+        class's jobs are disjoint and sorted, so they all lie inside its
+        segment when the first starts and the last ends inside it; only
+        otherwise is the class searched for the jobs outside.  Returns
+        class ``j``'s segment if it was read on the way (for :meth:`_place`).
         """
         seg_j = None
+        layouts = self.layouts
         outside = self._outside
-        for jj in class_order:
-            layout = self.layouts[jj]
-            if len(layout) == 0:
+        # Empty classes have nothing to repair, so their extents are not
+        # read; class j's is, for the job about to be placed there.
+        order = [jj for jj in order if layouts[jj]._jobs or jj == j]
+        for jj, seg in zip(order, self.segments.extents(order)):
+            if jj == j:
+                seg_j = seg
+            layout = layouts[jj]
+            jobs = layout._jobs
+            if not jobs:
                 if outside:
                     outside.discard(jj)
                 continue
-            seg = self.segments.extent(jj)
-            if jj == j:
-                seg_j = seg
-            evicted = layout.evicted(seg)
-            if evicted:
-                for pj in evicted:
-                    layout.remove(pj)
-                    new_pj = layout.place(pj.job, seg, on_move=self._on_move, server=self.server)
-                    self._jobs[pj.name] = new_pj
-                    self.ledger.record(pj.name, pj.size, ReallocKind.MOVE)
-                if layout.evicted(seg):
-                    outside.add(jj)
-                    continue
-            if outside:
+            last = jobs[-1]
+            if jobs[0].start >= seg[0] and last.start + last.size <= seg[1]:
+                if outside:
+                    outside.discard(jj)
+                continue
+            for pj in layout.evicted(seg):
+                layout.remove(pj)
+                self._jobs[pj.name] = layout.place(pj.job, seg, events, self.server)
+                events.append(Reallocation(pj.name, pj.size, ReallocKind.MOVE))
+            if layout.evicted(seg):
+                outside.add(jj)
+            elif outside:
                 outside.discard(jj)
         return seg_j
 
-    def _place(self, job: Job, j: int, seg: Optional[tuple[int, int]]) -> PlacedJob:
+    def _place(
+        self, job: Job, j: int, seg: Optional[tuple[int, int]], events: list[Reallocation]
+    ) -> PlacedJob:
         if seg is None:
             seg = self.segments.extent(j)
         layout = self.layouts[j]
-        placed = layout.place(job, seg, on_move=self._on_move, server=self.server)
+        placed = layout.place(job, seg, events, self.server)
         # Placing into a class whose jobs all lie in its segment keeps them
         # there; only a class a repair left outside needs another look.
         if j in self._outside and not layout.evicted(seg):
@@ -247,12 +258,9 @@ class SingleServerScheduler:
         """Recompute :attr:`_outside` from scratch (after a restore)."""
         self._outside = {
             j
-            for j, layout in enumerate(self.layouts)
-            if len(layout) and layout.evicted(self.segments.extent(j))
+            for j, (layout, seg) in enumerate(zip(self.layouts, self.segments.extents()))
+            if len(layout) and layout.evicted(seg)
         }
-
-    def _on_move(self, pj: PlacedJob) -> None:
-        self.ledger.record(pj.name, pj.size, ReallocKind.MOVE)
 
     def _grow_for(self, size: int) -> None:
         self.classer.grow(size)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 
-@dataclass
+@dataclass(slots=True)
 class RebuildRecord:
     """One chunk rebuild inside an operation's cascade."""
 
@@ -36,7 +36,7 @@ class RebuildRecord:
     gaps_returned: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class OpStats:
     """Per-operation statistics (reset at the start of each insert/delete)."""
 
@@ -96,11 +96,14 @@ class CostCounter:
             self.deletes += units
         self.slots_moved += op.slots_moved
         self.slots_scanned += op.slots_scanned
-        self.rebuilds += len(op.rebuilds)
-        for r in op.rebuilds:
-            self.rebuilds_by_level[r.level] = self.rebuilds_by_level.get(r.level, 0) + 1
-        self.gaps_consumed += op.gaps_consumed
-        self.gaps_created += op.gaps_created
+        rebuilds = op.rebuilds
+        if rebuilds:
+            self.rebuilds += len(rebuilds)
+            by_level = self.rebuilds_by_level
+            for r in rebuilds:
+                by_level[r.level] = by_level.get(r.level, 0) + 1
+                self.gaps_consumed += r.gaps_consumed
+                self.gaps_created += r.gaps_created
 
     def snapshot(self) -> dict[str, Any]:
         return {

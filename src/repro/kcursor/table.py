@@ -29,7 +29,7 @@ global retuning and is required for growing past the initial capacity.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional, Protocol
+from typing import Any, Iterable, Iterator, Optional, Protocol
 
 from repro import faults
 from repro.kcursor.chunk import Chunk, build_tree
@@ -200,32 +200,43 @@ class KCursorSparseTable:
         Empty districts yield a zero-length interval at their position.
         Higher-level gaps interleaved inside the interval are counted in
         its length (they are empty schedule slack for the scheduler).
-        Both ends come from one upward walk (:meth:`_abs_pos` of the first
-        and the last element, side by side).
         """
-        leaf = self._leaf(j)
-        count = leaf.count
-        first = 0
-        last = count - 1 if count else 0
-        node = leaf
-        p = node.parent
-        while p is not None:
-            if node.is_right_child:
-                assert p.left is not None  # internal chunks have both children
-                s_left = p.left.S
-                if p.gaps:
-                    it = p.it
-                    first += s_left + p.gaps_before_slot(first, it)
-                    last += s_left + p.gaps_before_slot(last, it)
-                else:
-                    first += s_left
-                    last += s_left
-            node = p
-            p = node.parent
-        return (first, last + 1) if count else (first, first)
+        return self.district_extents((j,))[0]
 
-    def district_extents(self) -> list[tuple[int, int]]:
-        return [self.district_extent(j) for j in range(self._k)]
+    def district_extents(self, districts: Optional[Iterable[int]] = None) -> list[tuple[int, int]]:
+        """:meth:`district_extent` of each of ``districts`` (default: every
+        district), in the order given, from one call.
+
+        Each district's two ends come from one upward walk from its leaf
+        (the absolute positions of its first and last element, side by
+        side); the walks share no state, so any order is valid.
+        """
+        leaves = self._leaves
+        k = self._k
+        out: list[tuple[int, int]] = []
+        for j in range(k) if districts is None else districts:
+            if not 0 <= j < k:
+                raise IndexError(f"district {j} out of range [0, {k})")
+            node = leaves[j]
+            count = node.count
+            first = 0
+            last = count - 1 if count else 0
+            p = node.parent
+            while p is not None:
+                if node.is_right_child:
+                    assert p.left is not None  # internal chunks have both children
+                    s_left = p.left.S
+                    if p.gaps:
+                        it = p.it
+                        first += s_left + p.gaps_before_slot(first, it)
+                        last += s_left + p.gaps_before_slot(last, it)
+                    else:
+                        first += s_left
+                        last += s_left
+                node = p
+                p = node.parent
+            out.append((first, last + 1) if count else (first, first))
+        return out
 
     def element_position(self, j: int, i: int) -> int:
         """Absolute position of the ``i``-th element of district ``j``."""

@@ -130,36 +130,27 @@ class LedgerObserver:
             )
 
     def op_commit(self, op) -> None:
-        # Deduplicate like Ledger.commit: a job whose schedule changed
-        # counts once per request, migration dominating a plain move.
-        moved: dict = {}
-        from repro.core.events import ReallocKind
-
-        for ev in op.events:
-            if ev.kind is ReallocKind.MOVE:
-                if ev.name not in moved:
-                    moved[ev.name] = (ev.size, "move")
-                else:
-                    moved[ev.name] = (ev.size, moved[ev.name][1])
-            elif ev.kind is ReallocKind.MIGRATE:
-                moved[ev.name] = (ev.size, "migrate")
-        migrations = sum(1 for _, k in moved.values() if k == "migrate")
+        # Ledger.commit has counted the request's reallocations the
+        # paper's way (each job once, a migration outranking a move).
+        moved = op.moved
+        migrated = op.migrated
         m = {
             "sched.op.count": 1,
             f"sched.{op.kind}.count": 1,
             "sched.realloc.jobs": len(moved),
-            "sched.realloc.volume": sum(w for w, _ in moved.values()),
+            "sched.realloc.volume": sum(moved.values()),
         }
         if op.kind == "insert":
             m["sched.alloc.volume"] = op.size
-        if migrations:
-            m["sched.migrations"] = migrations
+        if migrated:
+            m["sched.migrations"] = len(migrated)
         reg = self.registry
         if reg is not None:
             reg.inc_all(m)
         tr = self.tracer
         if tr is not None:
-            for name, (size, kind) in moved.items():
+            for name, size in moved.items():
+                kind = "migrate" if name in migrated else "move"
                 tr.emit(
                     "realloc",
                     {"parent": self._span, "job": str(name), "size": size, "kind": kind},

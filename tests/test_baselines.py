@@ -51,7 +51,7 @@ def test_optimal_front_insert_moves_everything():
         s.insert(f"j{i}", 100 + i)
     s.insert("tiny", 1)
     # Every pre-existing job shifted by 1 slot.
-    assert s.ledger.reports[-1].moved_sizes().__len__() == 20
+    assert len(s.ledger.reports[-1].moved) == 20
 
 
 def test_optimal_duplicate_rejected():

@@ -38,6 +38,6 @@ def test_bulk_load_never_moves_smaller_classes():
     s.bulk_load((f"j{i}", 1 << (i // 10)) for i in range(100))
     for op in s.ledger.reports:
         inserted_class = s.classer.class_of(op.size)
-        for w in op.moved_sizes():
+        for w in op.moved.values():
             assert s.classer.class_of(w) >= inserted_class
     s.check_schedule()

@@ -1,6 +1,10 @@
 """Ledger semantics: cost-oblivious reallocation accounting."""
 
+from collections import Counter
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from repro.core.costfn import ConstantCost, LinearCost
 from repro.core.events import Ledger, ReallocKind
@@ -119,3 +123,57 @@ def test_allocation_includes_deleted_jobs():
     led.record("a", 10, ReallocKind.REMOVE)
     led.commit()
     assert led.allocation_cost(LinearCost()) == 10.0
+
+
+# ---------------------------------------------------------------------------
+# Ledger.commit's one-pass fold against the counting rule written out plainly
+
+_K = ReallocKind
+_EVENT = st.tuples(st.sampled_from("abcd"), st.integers(1, 6), st.sampled_from(list(_K)))
+_REQUEST = st.tuples(st.sampled_from(["insert", "delete"]), st.integers(1, 6),
+                     st.lists(_EVENT, max_size=8))
+
+
+def _reference(requests):
+    """Per request: each job with a MOVE or MIGRATE event counts once, with
+    the size of its last such event, in the order of its first; a job with
+    a MIGRATE event migrated.  Every MIGRATE event counts in the migrate
+    histogram."""
+    realloc, migrate, migrations, per_op = Counter(), Counter(), 0, []
+    for _, _, events in requests:
+        sizes, order, migrated = {}, [], set()
+        for name, size, kind in events:
+            if kind in (_K.MOVE, _K.MIGRATE):
+                if name not in sizes:
+                    order.append(name)
+                sizes[name] = size
+            if kind is _K.MIGRATE:
+                migrated.add(name)
+                migrate[size] += 1
+        realloc.update(sizes[n] for n in order)
+        migrations += len(migrated)
+        per_op.append(([(n, sizes[n]) for n in order], migrated))
+    return realloc, migrate, migrations, per_op
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_REQUEST, max_size=12))
+@example([("delete", 3, [("a", 3, _K.MOVE), ("b", 2, _K.MOVE), ("a", 3, _K.MIGRATE),
+                         ("a", 3, _K.MIGRATE), ("c", 1, _K.REMOVE)])])
+def test_commit_matches_the_counting_rule(requests):
+    led = Ledger()
+    for kind, size, events in requests:
+        led.begin(kind, "op", size)
+        for name, w, k in events:
+            led.record(name, w, k)
+        led.commit()
+    realloc, migrate, migrations, per_op = _reference(requests)
+    assert led.realloc_hist == dict(realloc)
+    assert led.migrate_hist == dict(migrate)
+    assert led.total_migrations == migrations
+    assert led.moved_jobs_total() == sum(realloc.values())
+    assert led.alloc_hist == dict(Counter(w for k, w, _ in requests if k == "insert"))
+    for op, (moved, migrated) in zip(led.reports, per_op):
+        assert list(op.moved.items()) == moved
+        assert set(op.migrated) == migrated
+

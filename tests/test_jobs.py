@@ -1,6 +1,7 @@
 """Jobs and size-class arithmetic (Section 2 preliminaries)."""
 
 import math
+import pickle
 
 import hypothesis.strategies as st
 import pytest
@@ -24,6 +25,24 @@ def test_placed_job_accessors():
     assert pj.end == 17
     assert pj.completion == 17
     assert pj.server == 2
+
+
+def test_placed_job_equality_repr_and_pickling():
+    """``name``/``size`` are slots copied from the job; equality, ``repr``
+    and pickles see only the four constructor fields, as before."""
+    pj = PlacedJob(job=Job("x", 10), klass=3, start=7, server=2)
+    assert repr(pj) == "PlacedJob(job=Job(name='x', size=10), klass=3, start=7, server=2)"
+    assert pj == PlacedJob(job=Job("x", 10), klass=3, start=7, server=2)
+    assert pj != PlacedJob(job=Job("x", 10), klass=3, start=8, server=2)
+    assert pj != PlacedJob(job=Job("y", 10), klass=3, start=7, server=2)
+    pj.start = 9  # placements move in place
+    assert pj.end == 19 and pj.completion == 19
+    for proto in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(pj, proto))
+        assert back == pj and repr(back) == repr(pj)
+        assert (back.name, back.size, back.end) == ("x", 10, 19)
+    with pytest.raises(AttributeError):
+        pj.note = "slots allow no ad-hoc attributes"
 
 
 def test_class_of_boundaries():

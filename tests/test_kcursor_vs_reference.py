@@ -35,6 +35,9 @@ def run_differential(k, factor, ops, seed, bias=None):
             assert virt.district_len(d) == ref.district_len(d), (step, d)
             if virt.district_len(d):
                 assert virt.district_extent(d) == ref.district_extent(d), (step, d)
+        # One batched walk, in any order, reads the same extents.
+        live = [d for d in range(k) if virt.district_len(d)][::-1]
+        assert virt.district_extents(live) == [ref.district_extent(d) for d in live], step
     return virt, ref
 
 

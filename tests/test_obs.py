@@ -254,6 +254,14 @@ def test_parallel_scheduler_instrumented():
     res = run_trace(sched, trace, registry=reg)
     assert reg.value("sched.op.count") == res.ops
     assert reg.value("kcursor.op.count") > 0  # server substrates hooked
+    # The request counters are the ledger's own totals, migrations included.
+    led = sched.ledger
+    assert led.total_migrations > 0  # the stream exercises Invariant 5
+    assert reg.value("sched.migrations") == led.total_migrations
+    assert reg.value("sched.realloc.jobs") == led.moved_jobs_total()
+    assert reg.value("sched.realloc.volume") == sum(
+        w * c for w, c in led.realloc_hist.items()
+    )
 
 
 def test_lost_slots_metric():

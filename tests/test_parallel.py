@@ -60,7 +60,7 @@ def test_deletes_at_most_one_migration():
     s = ParallelScheduler(4, 32, delta=0.5)
     drive(s, 800, 32, seed=3)
     for report in s.ledger.reports:
-        migs = report.migrations()
+        migs = len(report.migrated)
         if report.kind == "insert":
             assert migs == 0
         else:

@@ -43,7 +43,7 @@ def test_case2_full_compaction_respects_padding():
     seg = (0, 100)
     moved = []
     for i in range(5):
-        lay.place(Job(f"a{i}", 10), seg, on_move=moved.append)
+        lay.place(Job(f"a{i}", 10), seg, events=moved)
     lay.check_disjoint(seg)
     # All placements stay clear of the one-slot padding.
     for pj in lay:
@@ -60,7 +60,7 @@ def test_case3_moves_few_jobs():
     for i in range(1000):
         lay.place(Job(f"a{i}", 1), seg)
     moved = []
-    lay.place(Job("new", 1), seg, on_move=moved.append)
+    lay.place(Job("new", 1), seg, events=moved)
     assert len(moved) <= 2 * int(10 / delta) + 2
     lay.check_disjoint(seg)
 
@@ -124,7 +124,7 @@ def test_on_move_reports_only_changed():
     seg = (0, 50)
     lay.place(Job("a", 1), seg)
     moved = []
-    lay.place(Job("b", 1), seg, on_move=moved.append)
+    lay.place(Job("b", 1), seg, events=moved)
     # Compaction keeps 'a' in place (already left-justified): no moves.
     assert moved == []
 

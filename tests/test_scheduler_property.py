@@ -62,7 +62,7 @@ def test_parallel_scheduler_invariants(ops, p):
     # Migrations happen only on deletes.
     for report in s.ledger.reports:
         if report.kind == "insert":
-            assert report.migrations() == 0
+            assert not report.migrated
 
 
 @settings(max_examples=30, deadline=None)
